@@ -15,7 +15,11 @@ them without re-inspecting. This module provides the same capability:
 
 Format: a single ``.npz`` file holding the numeric buffers plus a JSON
 manifest for the structural metadata. No pickle is involved, so the files
-are safe to share and stable across Python versions.
+are safe to share and stable across Python versions. Members are stored
+uncompressed (``np.savez``): deflate shrinks float64 generators only to
+about 0.8 of their size and costs far more than reading the extra bytes.
+``np.load`` reads compressed members through the same call, so files
+written with ``np.savez_compressed`` still load.
 """
 
 from __future__ import annotations
@@ -238,7 +242,7 @@ def save_hmatrix(H, path) -> Path:
     arrays["manifest"] = np.frombuffer(
         json.dumps(manifest).encode(), dtype=np.uint8
     )
-    np.savez_compressed(path, **arrays)
+    np.savez(path, **arrays)
     return path
 
 
@@ -279,10 +283,11 @@ def _load_hmatrix(path) -> HMatrix:
         }
 
         # Rebuild the per-node / per-pair generator dicts as views into the
-        # loaded flat buffers (same layout the CDS will re-pack).
-        basis_buf = np.array(data["basis_buf"])
-        near_buf = np.array(data["near_buf"])
-        far_buf = np.array(data["far_buf"])
+        # loaded flat buffers; build_cds packs them into its own buffers and
+        # re-points the dicts there, which frees the loaded ones.
+        basis_buf = data["basis_buf"]
+        near_buf = data["near_buf"]
+        far_buf = data["far_buf"]
         for vstr, off in manifest["basis_offset"].items():
             v = int(vstr)
             rows, cols = manifest["basis_shape"][vstr]
@@ -351,7 +356,7 @@ def save_inspection_p1(p1: InspectionP1, path) -> Path:
     arrays["manifest"] = np.frombuffer(
         json.dumps(manifest).encode(), dtype=np.uint8
     )
-    np.savez_compressed(path, **arrays)
+    np.savez(path, **arrays)
     return path
 
 
@@ -415,7 +420,7 @@ def save_tuning_profile(profile, path) -> Path:
     path = Path(path)
     manifest = {"version": _FORMAT_VERSION, "profile": profile}
     blob = np.frombuffer(json.dumps(manifest).encode(), dtype=np.uint8)
-    np.savez_compressed(path, manifest=blob)
+    np.savez(path, manifest=blob)
     return path
 
 

@@ -1,6 +1,6 @@
 """Compressed Data-Sparse (CDS) storage format.
 
-CDS packs the submatrices into four flat buffers in *visit order*:
+CDS packs the submatrices into three flat buffers in *visit order*:
 
 * ``basis_buf``  — leaf V and interior transfer E matrices, in coarsenset
   order (bottom coarsen level first, sub-tree by sub-tree, post-order inside
@@ -11,7 +11,8 @@ CDS packs the submatrices into four flat buffers in *visit order*:
 Offsets are derived from sranks/block sizes, so a generator is addressed as
 ``buf[offset[key] : offset[key] + rows*cols].reshape(rows, cols)`` — these
 reshapes are NumPy views into the flat buffer, never copies, preserving the
-format's locality in the executor.
+format's locality in the executor. The buffers own the generators: after
+packing, the :class:`Factors` dicts hold these same views.
 
 On top of the flat buffers the CDS also exposes *shape buckets*: generators
 grouped by ``(rows, cols)`` in visit order, each bucket carrying the buffer
@@ -209,7 +210,15 @@ def build_cds(
     near_blockset: BlockSet,
     far_blockset: BlockSet,
 ) -> CDSMatrix:
-    """Pack the generators into CDS buffers following the structure sets."""
+    """Pack the generators into CDS buffers following the structure sets.
+
+    Packing is linear in the number of generators. Afterwards the buffers
+    own every generator: each entry of ``factors.leaf_basis``,
+    ``factors.transfer``, ``factors.near_blocks`` and ``factors.coupling``
+    is replaced by its view into the CDS buffer (bit-identical values), so
+    the arrays those dicts held before are freed instead of living beside
+    a second copy.
+    """
     cds = CDSMatrix(
         factors=factors,
         coarsenset=coarsenset,
@@ -228,45 +237,48 @@ def build_cds(
         for v in range(tree.num_nodes)
         if factors.srank(v) > 0 and v not in covered
     ]
-    sizes: list[int] = []
-    for v in order + extras:
-        gen = factors.leaf_basis[v] if tree.is_leaf(v) else factors.transfer[v]
-        cds.basis_shape[v] = gen.shape
-        sizes.append(gen.size)
-    total = int(np.sum(sizes)) if sizes else 0
-    cds.basis_buf = np.empty(total)
-    off = 0
-    for v in order + extras:
-        gen = factors.leaf_basis[v] if tree.is_leaf(v) else factors.transfer[v]
-        cds.basis_offset[v] = off
-        cds.basis_buf[off : off + gen.size] = gen.ravel()
-        off += gen.size
+    basis = [
+        (factors.leaf_basis if tree.is_leaf(v) else factors.transfer, v)
+        for v in order + extras
+    ]
+    cds.basis_buf, cds.basis_offset = _pack(basis)
+    cds.basis_shape = {v: gens[v].shape for gens, v in basis}
 
     # --- near buffer in near-blockset order ---------------------------------
-    near_order = near_blockset.all_interactions()
-    _pack_pairs(cds.near_offset, near_order, factors.near_blocks, "near", cds)
+    near = factors.near_blocks
+    cds.near_buf, cds.near_offset = _pack(
+        [(near, p) for p in _pair_order(near_blockset, near, "near")])
 
     # --- far buffer in far-blockset order ------------------------------------
-    far_order = far_blockset.all_interactions()
-    _pack_pairs(cds.far_offset, far_order, factors.coupling, "far", cds)
+    far = factors.coupling
+    cds.far_buf, cds.far_offset = _pack(
+        [(far, p) for p in _pair_order(far_blockset, far, "far")])
     return cds
 
 
-def _pack_pairs(offsets, order, blocks, which, cds) -> None:
+def _pair_order(blockset: BlockSet, blocks: dict, which: str) -> list:
+    """The blockset's pairs in visit order, then the pairs it does not
+    reach, sorted."""
+    order = blockset.all_interactions()
     missing = [p for p in order if p not in blocks]
     if missing:
         raise ValueError(f"{which} blockset references missing blocks: {missing[:5]}")
-    extra = [p for p in blocks if p not in set(order)]
-    full_order = list(order) + sorted(extra)
-    total = int(sum(blocks[p].size for p in full_order))
-    buf = np.empty(total)
+    visited = set(order)
+    return order + sorted(p for p in blocks if p not in visited)
+
+
+def _pack(slots: list[tuple[dict, object]]) -> tuple[np.ndarray, dict]:
+    """Copy each generator ``gens[key]`` of ``slots``, in order, into one
+    flat float64 buffer and re-point ``gens[key]`` at its view there.
+    Returns the buffer and the offset of each key."""
+    buf = np.empty(sum(gens[key].size for gens, key in slots))
+    offsets = {}
     off = 0
-    for p in full_order:
-        b = blocks[p]
-        offsets[p] = off
-        buf[off : off + b.size] = b.ravel()
-        off += b.size
-    if which == "near":
-        cds.near_buf = buf
-    else:
-        cds.far_buf = buf
+    for gens, key in slots:
+        gen = gens[key]
+        view = buf[off : off + gen.size].reshape(gen.shape)
+        view[...] = gen
+        gens[key] = view
+        offsets[key] = off
+        off += gen.size
+    return buf, offsets

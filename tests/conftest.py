@@ -89,3 +89,19 @@ def hmatrix_2d(points_2d, gaussian_kernel, inspector_small):
 @pytest.fixture(scope="session")
 def p1_2d(points_2d, inspector_small):
     return inspector_small.run_p1(points_2d)
+
+
+def _check_generators_live_in_cds(factors, cds) -> None:
+    for v, gen in {**factors.leaf_basis, **factors.transfer}.items():
+        assert np.shares_memory(gen, cds.basis(v)), v
+    for pair, gen in factors.near_blocks.items():
+        assert np.shares_memory(gen, cds.near(*pair)), pair
+    for pair, gen in factors.coupling.items():
+        assert np.shares_memory(gen, cds.far(*pair)), pair
+
+
+@pytest.fixture(scope="session")
+def assert_generators_live_in_cds():
+    """``check(factors, cds)``: every generator in ``factors`` is a view
+    into its own slot of the ``cds`` buffers (one copy in memory)."""
+    return _check_generators_live_in_cds

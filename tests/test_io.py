@@ -1,5 +1,7 @@
 """Round-trip tests for HMatrix and InspectionP1 persistence."""
 
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,8 @@ class TestHMatrixRoundtrip:
         W = rng.random((hmatrix_2d.dim, 5))
         np.testing.assert_array_equal(hmatrix_2d.matmul(W), H2.matmul(W))
 
-    def test_buffers_bit_exact(self, hmatrix_2d, tmp_path):
+    def test_buffers_bit_exact(self, hmatrix_2d, tmp_path,
+                               assert_generators_live_in_cds):
         path = save_hmatrix(hmatrix_2d, tmp_path / "hmat.npz")
         H2 = load_hmatrix(path)
         np.testing.assert_array_equal(H2.cds.basis_buf,
@@ -29,6 +32,8 @@ class TestHMatrixRoundtrip:
         np.testing.assert_array_equal(H2.cds.near_buf,
                                       hmatrix_2d.cds.near_buf)
         np.testing.assert_array_equal(H2.cds.far_buf, hmatrix_2d.cds.far_buf)
+        # One copy of each generator after a load, as after inspection.
+        assert_generators_live_in_cds(H2.factors, H2.cds)
 
     def test_structure_preserved(self, hmatrix_2d, tmp_path):
         path = save_hmatrix(hmatrix_2d, tmp_path / "hmat.npz")
@@ -63,6 +68,13 @@ class TestHMatrixRoundtrip:
         path = save_hmatrix(hmatrix_2d, tmp_path / "hmat.npz")
         with np.load(path, allow_pickle=False) as data:
             assert "manifest" in data.files
+
+    def test_members_stored_uncompressed(self, hmatrix_2d, p1_2d, tmp_path):
+        for path in (save_hmatrix(hmatrix_2d, tmp_path / "hmat.npz"),
+                     save_inspection_p1(p1_2d, tmp_path / "p1.npz")):
+            with zipfile.ZipFile(path) as zf:
+                assert {i.compress_type for i in zf.infolist()} == {
+                    zipfile.ZIP_STORED}
 
 
 class TestInspectionP1Roundtrip:

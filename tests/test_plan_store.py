@@ -8,6 +8,7 @@ must fail closed with :class:`PlanStoreError`.
 
 import json
 import threading
+import zipfile
 
 import numpy as np
 import pytest
@@ -225,6 +226,28 @@ class TestSessionWarmStart:
         with Session(plan=PLAN, store=PlanStore(store_dir)) as session:
             H_warm = session.inspect(points_2d, kernel=gaussian_kernel)
         W = np.random.default_rng(3).random((len(points_2d), 3))
+        np.testing.assert_array_equal(H_cold.matmul(W), H_warm.matmul(W))
+
+    def test_compressed_payloads_still_serve(self, tmp_path, points_2d,
+                                             gaussian_kernel, monkeypatch):
+        """Stores written with ``np.savez_compressed`` (the payload codec
+        before payloads were stored uncompressed) keep warm-starting."""
+        root = tmp_path / "store"
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "savez", np.savez_compressed)
+            with Session(plan=PLAN, store=PlanStore(root)) as cold:
+                H_cold = cold.inspect(points_2d, kernel=gaussian_kernel)
+        payloads = sorted(root.glob("*.npz"))
+        assert len(payloads) == 2
+        for payload in payloads:
+            with zipfile.ZipFile(payload) as zf:
+                assert {i.compress_type for i in zf.infolist()} == {
+                    zipfile.ZIP_DEFLATED}
+        with Session(plan=PLAN, store=PlanStore(root)) as warm:
+            H_warm = warm.inspect(points_2d, kernel=gaussian_kernel)
+        assert warm.stats.p1_builds == 0 and warm.stats.p2_builds == 0
+        assert warm.store.stats.disk_hits == 1
+        W = np.random.default_rng(4).random((len(points_2d), 3))
         np.testing.assert_array_equal(H_cold.matmul(W), H_warm.matmul(W))
 
     def test_p2_reuse_from_disk_p1(self, store_dir, points_2d,
