@@ -9,23 +9,32 @@ records:
 1. **Sustained throughput + tail latency** — requests/s and client-side
    p50/p99 across all tenants (every request authenticated, audited,
    and quota-charged), with **zero failed requests**;
-2. **Warm tenant restart** — a fresh server over the same root must
+2. **Wide requests** — a Q=512 panel sent as 256-column chunks (the
+   client usage the README shows), each reply checked bit-identical to
+   an in-process ``Session.matmul``: the row where the wire codec, not
+   the service, sets the latency;
+3. **Warm tenant restart** — a fresh server over the same root must
    serve both tenants with **zero inspections** (``p1_builds ==
    p2_builds == 0``) and zero re-tunes: the per-tenant PlanStore roots
    survive the process.
 
-Results land in ``benchmarks/results/netserve.json`` for
-``validate_results.py`` (gates: zero failures, bounded p99, zero warm
+Results, with the host they were measured on, land in
+``benchmarks/results/netserve.json`` for ``validate_results.py`` (gates:
+zero failures, bounded p99, a positive wide-request latency, zero warm
 inspections).
 """
 
+import platform
 import threading
 import time
 
 import numpy as np
 
+from repro import Session
 from repro.datasets import load_dataset
+from repro.host import host_signature
 from repro.net import KernelClient, KernelServer, ServerError
+from repro.net.protocol import kernel_from_doc, plan_from_doc
 
 from conftest import (
     BENCH_QUICK,
@@ -46,6 +55,10 @@ TOKENS = {"tok-alpha": "alpha", "tok-beta": "beta"}
 CLIENTS = 6
 REQUESTS_PER_CLIENT = 12
 REQUEST_Q = 4
+#: Wide requests: panel width, chunk width on the wire, repetitions.
+WIDE_Q = 512
+WIDE_CHUNK_COLS = 256
+WIDE_REPS = 2 if BENCH_QUICK else 5
 
 KERNEL_DOC = {"name": "gaussian", "bandwidth": GAUSS_BW}
 PLAN_DOC = {"leaf_size": LEAF, "bacc": PAPER_BACC, "p": 4, "seed": 0}
@@ -93,12 +106,44 @@ def _drive(server, n: int) -> dict:
     }
 
 
+def _wide(server, points) -> dict:
+    """Q=512 chunked requests, each checked bit-identical to the
+    in-process product of the same plan and kernel."""
+    W = np.random.default_rng(11).random((len(points), WIDE_Q))
+    with Session(plan=plan_from_doc(PLAN_DOC)) as session:
+        H = session.inspect(points, kernel=kernel_from_doc(KERNEL_DOC))
+        expected = session.matmul(H, W)
+    client = _client(server, TENANTS[0])
+    latencies, failures = [], 0
+    for _ in range(WIDE_REPS):
+        t0 = time.perf_counter()
+        try:
+            Y = client.matmul("grid", W, chunk_cols=WIDE_CHUNK_COLS)
+        except ServerError:
+            failures += 1
+            continue
+        latencies.append((time.perf_counter() - t0) * 1e3)
+        failures += not np.array_equal(Y, expected)
+    return {
+        "q": WIDE_Q,
+        "chunk_cols": WIDE_CHUNK_COLS,
+        "requests_total": WIDE_REPS,
+        "failed_requests": failures,  # errors + non-identical replies
+        "p50_ms": float(np.median(latencies)) if latencies else None,
+        "min_ms": min(latencies, default=None),
+        "max_ms": max(latencies, default=None),
+    }
+
+
 def test_netserve_sustained_load_and_warm_restart(tmp_path_factory):
     root = tmp_path_factory.mktemp("netserve-root")
     n = bench_n(DATASET)
     points = load_dataset(DATASET, n=n, seed=0)
     results: dict = {"dataset": DATASET, "n": n, "clients": CLIENTS,
-                     "request_q": REQUEST_Q, "tenants": list(TENANTS)}
+                     "request_q": REQUEST_Q, "tenants": list(TENANTS),
+                     "host": {**host_signature(),
+                              "python": platform.python_version(),
+                              "numpy": np.__version__}}
 
     # --- cold: both tenants compile over the wire, then sustained load
     with KernelServer(root, tokens=TOKENS, max_wait_ms=2.0) as server:
@@ -112,8 +157,10 @@ def test_netserve_sustained_load_and_warm_restart(tmp_path_factory):
         results["compile_seconds"] = compile_s
 
         load = _drive(server, n)
+        wide = _wide(server, points)
         stats = server.stats()
         results["load"] = load
+        results["wide"] = wide
         results["server_responses"] = stats["server"]["responses"]
         results["audit_lines"] = stats["server"].get("audit_lines", 0)
         per_tenant = {
@@ -155,6 +202,9 @@ def test_netserve_sustained_load_and_warm_restart(tmp_path_factory):
          ["p50 (ms)", fmt(load["p50_ms"], 2)],
          ["p99 (ms)", fmt(load["p99_ms"], 2)],
          ["failed requests", load["failed_requests"]],
+         [f"wide q={WIDE_Q} (chunks of {WIDE_CHUNK_COLS}) p50 (ms)",
+          fmt(wide["p50_ms"], 1)],
+         ["wide failed / non-identical", wide["failed_requests"]],
          ["warm inspections", warm_inspections],
          ["warm re-tunes", warm_retunes]],
     )
@@ -163,6 +213,9 @@ def test_netserve_sustained_load_and_warm_restart(tmp_path_factory):
     # correctness-class claims hold even in quick mode on a loaded CI box.
     assert load["failed_requests"] == 0, \
         f"{load['failed_requests']} request(s) failed under load"
+    assert wide["failed_requests"] == 0, \
+        f"{wide['failed_requests']} wide request(s) failed or differed " \
+        f"from the in-process product"
     assert warm_inspections == 0, \
         "warm restart re-inspected despite the tenant PlanStore roots"
     assert warm_retunes == 0

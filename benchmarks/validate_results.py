@@ -187,6 +187,20 @@ def check_file(path: Path) -> list[str]:
             problems.append(
                 f"{path.name}: p99 of {p99:.0f} ms is outside the sane "
                 f"band (gate: 0 < p99 < 30000 ms)")
+        wide = payload.get("wide") or {}
+        failed = wide.get("failed_requests")
+        if failed is None:
+            problems.append(
+                f"{path.name}: missing wide.failed_requests field")
+        elif failed != 0:
+            problems.append(
+                f"{path.name}: {failed} wide request(s) failed or were "
+                f"not bit-identical (gate: zero)")
+        p50 = wide.get("p50_ms")
+        if not isinstance(p50, (int, float)) or not 0.0 < p50 < math.inf:
+            problems.append(
+                f"{path.name}: wide.p50_ms is {p50!r} (gate: a finite, "
+                f"positive latency)")
         for field in ("warm_inspections", "warm_retunes"):
             value = payload.get(field)
             if value is None:

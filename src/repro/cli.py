@@ -19,7 +19,7 @@ Mirrors the paper's inspector/executor workflow as a tool:
   ``--manifest`` writes a schema-validated
   :class:`~repro.observability.RunManifest` at close;
 * ``server``   — run the network-facing multi-tenant kernel server
-  (:class:`~repro.net.server.KernelServer`): JSON-over-HTTP
+  (:class:`~repro.net.server.KernelServer`): HTTP
   compile/matmul/stats endpoints with token auth, per-tenant PlanStore
   roots, quotas, a JSONL audit log, and SIGTERM-graceful drain;
 * ``client``   — talk to a running server from the shell

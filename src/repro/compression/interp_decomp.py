@@ -90,8 +90,10 @@ def interpolative_decomposition(
             rank=1, achieved_error=0.0,
         )
 
-    # Pivoted QR: G[:, piv] = Q @ R with |diag(R)| non-increasing.
-    _q, R, piv = scipy.linalg.qr(G, mode="economic", pivoting=True)
+    # Pivoted QR: G[:, piv] = Q @ R with |diag(R)| non-increasing. Only R
+    # and the pivots are used: mode="r" runs the same geqp3 as "economic"
+    # but skips forming Q (orgqr).
+    R, piv = scipy.linalg.qr(G, mode="r", pivoting=True)
     rdiag = np.abs(np.diag(R))
     kmax = min(s, m)
 

@@ -1,12 +1,13 @@
 """Network-facing multi-tenant kernel serving (DESIGN.md §11).
 
-The step from "fast library" to "service": :class:`KernelServer` puts a
-JSON-over-HTTP wire protocol in front of the compile-once/serve-forever
-stack (PlanStore + KernelService + autotuner), with per-tenant
+The step from "fast library" to "service": :class:`KernelServer` puts an
+HTTP wire protocol (binary array frames, JSON documents) in front of the
+compile-once/serve-forever stack (PlanStore + KernelService +
+autotuner), with per-tenant
 namespaces — isolated store roots, token auth, sliding-window quotas —
 a JSONL request-audit log, and graceful drain/shutdown. Stdlib only.
 
-* :mod:`repro.net.protocol` — array/error encoding, untrusted-input
+* :mod:`repro.net.protocol` — frame/array/error encoding, untrusted-input
   validation (:class:`ProtocolError` → 400/413);
 * :mod:`repro.net.auth` — constant-time bearer-token → tenant mapping;
 * :mod:`repro.net.tenants` — tenant registry, store isolation, quotas;
@@ -19,6 +20,8 @@ from repro.net.client import KernelClient, ServerError
 from repro.net.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
+    TailReader,
+    TailWriter,
     decode_array,
     encode_array,
 )
@@ -39,6 +42,8 @@ __all__ = [
     "ProtocolError",
     "QuotaExceeded",
     "ServerError",
+    "TailReader",
+    "TailWriter",
     "Tenant",
     "TenantQuota",
     "TenantRegistry",

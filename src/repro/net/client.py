@@ -14,6 +14,10 @@ for clients in other languages.
 ``matmul(..., chunk_cols=q)`` splits a wide panel into column chunks so
 the server's dispatcher can micro-batch them with concurrent traffic;
 the concatenated result is bit-identical to the unchunked product.
+
+POST bodies go out as frames (:mod:`repro.net.protocol`). A response
+is parsed by its ``Content-Type``: frames (``matmul``), JSON (everything
+else), or text (``/metrics``); a frame's arrays are read in place.
 """
 
 from __future__ import annotations
@@ -25,7 +29,16 @@ import urllib.request
 
 import numpy as np
 
-from repro.net.protocol import PROTOCOL_VERSION, decode_array, encode_array
+from repro.net.protocol import (
+    FRAME_CONTENT_TYPE,
+    PROTOCOL_VERSION,
+    TailReader,
+    TailWriter,
+    decode_array,
+    encode_array,
+    frame_parts,
+    parse_frame,
+)
 
 __all__ = ["KernelClient", "ServerError"]
 
@@ -65,34 +78,56 @@ class KernelClient:
 
     # ------------------------------------------------------------- transport
     def _request(self, method: str, path: str, doc: dict | None = None,
-                 *, raw: bool = False):
-        headers = {"Accept": "application/json"}
+                 tail: TailWriter | None = None):
+        """One round trip; returns ``(document, tail)``.
+
+        A ``doc`` is sent as a frame whose arrays :func:`encode_array`
+        put in ``tail``. The reply's ``Content-Type`` picks its parser:
+        a frame gives its header and tail, JSON its document, anything
+        else its text; the last two with an empty tail.
+        """
+        headers = {"Accept": f"{FRAME_CONTENT_TYPE}, application/json"}
         if self.token is not None:
             headers["Authorization"] = f"Bearer {self.token}"
         body = None
         if doc is not None:
-            body = json.dumps(doc).encode()
-            headers["Content-Type"] = "application/json"
+            # One buffer, so the request goes out in two sends (head,
+            # body). A server that answers from the headers alone (401,
+            # 429, 503) closes the socket; a third send would then fail
+            # with a broken pipe and lose that answer.
+            body = b"".join(frame_parts(json.dumps(doc).encode(),
+                                        tail or TailWriter()))
+            headers["Content-Type"] = FRAME_CONTENT_TYPE
         request = urllib.request.Request(
             self.base_url + path, data=body, method=method,
             headers=headers)
         try:
             with urllib.request.urlopen(request,
                                         timeout=self.timeout) as resp:
+                self._check_protocol(resp.headers)
                 payload = resp.read()
-                served = resp.headers.get("X-Repro-Protocol")
+                media = resp.headers.get_content_type()
         except urllib.error.HTTPError as exc:
+            self._check_protocol(exc.headers)
             raise self._server_error(exc) from None
         except urllib.error.URLError as exc:
             raise ServerError(0, "unreachable",
                               f"{self.base_url}: {exc.reason}") from exc
-        if served is not None and int(served) != PROTOCOL_VERSION:
+        if media == FRAME_CONTENT_TYPE:
+            return parse_frame(payload, loads=json.loads)
+        if media == "application/json":
+            return json.loads(payload), TailReader(memoryview(b""))
+        return payload.decode(), TailReader(memoryview(b""))
+
+    @staticmethod
+    def _check_protocol(headers) -> None:
+        """Refuse a server that speaks another protocol version, before
+        its body is read — on errors too, which a version skew causes."""
+        served = headers.get("X-Repro-Protocol")
+        if served is not None and served != str(PROTOCOL_VERSION):
             raise ServerError(0, "protocol_mismatch",
                               f"server speaks protocol {served}, client "
                               f"speaks {PROTOCOL_VERSION}")
-        if raw:
-            return payload.decode()
-        return json.loads(payload)
 
     @staticmethod
     def _server_error(exc: urllib.error.HTTPError) -> ServerError:
@@ -121,13 +156,16 @@ class KernelClient:
         :meth:`matmul`), plan/points fingerprints, and ``compiled``
         (``False`` means the tenant's store already held the artifact).
         """
-        doc = {"points": encode_array(np.asarray(points, dtype=np.float64)),
+        tail = TailWriter()
+        doc = {"points": encode_array(np.asarray(points, dtype=np.float64),
+                                      tail),
                "kernel": kernel}
         if plan is not None:
             doc["plan"] = dict(plan)
         if points_id is not None:
             doc["points_id"] = points_id
-        return self._request("POST", self._tenant_path("compile"), doc)
+        return self._request("POST", self._tenant_path("compile"), doc,
+                             tail)[0]
 
     def matmul(self, points_id: str, W, *,
                chunk_cols: int | None = None) -> np.ndarray:
@@ -142,24 +180,29 @@ class KernelClient:
         panel = W[:, None] if squeeze else W
         if panel.ndim != 2:
             raise ValueError(f"W must be 1-D or 2-D, got shape {W.shape}")
-        if chunk_cols is not None and chunk_cols >= 1 \
-                and panel.shape[1] > chunk_cols:
+        chunked = chunk_cols is not None and chunk_cols >= 1 \
+            and panel.shape[1] > chunk_cols
+        tail = TailWriter()
+        if chunked:
             chunks = [panel[:, i:i + chunk_cols]
                       for i in range(0, panel.shape[1], chunk_cols)]
             doc = {"points_id": points_id,
-                   "w_chunks": [encode_array(c) for c in chunks]}
-            out = self._request("POST", self._tenant_path("matmul"), doc)
-            Y = np.hstack([decode_array(c, field="y_chunks")
-                           for c in out["y_chunks"]])
+                   "w_chunks": [encode_array(c, tail) for c in chunks]}
         else:
-            doc = {"points_id": points_id, "w": encode_array(panel)}
-            out = self._request("POST", self._tenant_path("matmul"), doc)
-            Y = decode_array(out["y"], field="y")
+            doc = {"points_id": points_id, "w": encode_array(panel, tail)}
+        out, body = self._request("POST", self._tenant_path("matmul"), doc,
+                                  tail)
+        docs = out["y_chunks"] if chunked else [out["y"]]
+        # The decoded chunks are views of the response body; the
+        # concatenation is the one copy, and the caller owns it.
+        Y = np.concatenate([decode_array(d, body, field="y") for d in docs],
+                           axis=1)
+        body.finish()
         return Y[:, 0] if squeeze else Y
 
     def stats(self) -> dict:
         """This tenant's quota/service/session/store counters."""
-        return self._request("GET", self._tenant_path("stats"))
+        return self._request("GET", self._tenant_path("stats"))[0]
 
     def metrics(self) -> str:
         """The ``/metrics`` text (token is sent when configured).
@@ -168,7 +211,7 @@ class KernelClient:
         server-level series plus its own tenant; the server's scrape
         token (``metrics_token``) unlocks the all-tenants view.
         """
-        return self._request("GET", "/metrics", raw=True)
+        return self._request("GET", "/metrics")[0]
 
     def health(self) -> dict:
-        return self._request("GET", "/healthz")
+        return self._request("GET", "/healthz")[0]

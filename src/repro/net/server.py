@@ -1,4 +1,4 @@
-"""KernelServer: the JSON-over-HTTP front-end over KernelService.
+"""KernelServer: the HTTP front-end over KernelService.
 
 Stdlib only (``http.server`` + threads — the dispatcher underneath is
 already the concurrency boundary, so a thread-per-connection front-end
@@ -7,7 +7,8 @@ adds no new shared state). One server owns a
 
 1. authenticates (``Authorization: Bearer`` → tenant, 401/403),
 2. charges the tenant's quota window (429 + ``Retry-After``),
-3. parses + validates the payload (:mod:`repro.net.protocol`, 400/413),
+3. parses + validates the payload, a binary frame
+   (:mod:`repro.net.protocol`, 400/413/415),
 4. routes into the tenant's :class:`~repro.api.service.KernelService`
    (``submit`` futures → micro-batching across connections *and*
    tenants' chunked panels), and
@@ -47,12 +48,17 @@ import numpy as np
 from repro.api.service import ServiceClosed
 from repro.net.auth import AuthError, TokenAuthenticator
 from repro.net.protocol import (
+    FRAME_CONTENT_TYPE,
     PROTOCOL_VERSION,
     ProtocolError,
+    TailReader,
+    TailWriter,
     decode_array,
     encode_array,
     error_doc,
+    frame_parts,
     kernel_from_doc,
+    parse_frame,
     plan_from_doc,
 )
 from repro.net.tenants import QuotaExceeded, TenantQuota, TenantRegistry
@@ -62,8 +68,8 @@ __all__ = ["KernelServer", "AuditLog"]
 
 _ROUTE = re.compile(r"^/v1/(?P<tenant>[^/]+)/(?P<verb>compile|matmul|stats)$")
 
-#: Default cap on one request body (64 MiB of JSON+base64 ≈ a
-#: 2000×3000 float64 panel) — resource safety, overridable per server.
+#: Default cap on one request body (64 MiB of frame ≈ 8.4M float64
+#: values) — resource safety, overridable per server.
 DEFAULT_MAX_BODY = 64 * 2**20
 
 
@@ -190,6 +196,10 @@ class KernelServer:
 
         class _Handler(BaseHTTPRequestHandler):
             protocol_version = "HTTP/1.1"
+            # A frame response is several writes (HTTP head, frame
+            # header, one per array): send each at once instead of
+            # holding the small ones back for the peer's ACK.
+            disable_nagle_algorithm = True
             # A stuck client must not pin a handler thread forever.
             timeout = server.request_timeout
 
@@ -345,7 +355,7 @@ class KernelServer:
                                  str(exc))
                 return
             body = self.metrics_text(tenant=scope).encode()
-            self._send_raw(handler, req, 200, body,
+            self._send_raw(handler, req, 200, [body],
                            content_type="text/plain; version=0.0.4")
             return
         m = _ROUTE.match(path)
@@ -382,12 +392,12 @@ class KernelServer:
                              "replica", headers={"Retry-After": "1"})
             return
         try:
-            doc = self._read_json_body(handler, req)
+            doc, tail = self._read_frame(handler, req)
             tenant.charge(req.bytes_in)
             if verb == "compile":
-                self._do_compile(handler, req, tenant, doc)
+                self._do_compile(handler, req, tenant, doc, tail)
             else:
-                self._do_matmul(handler, req, tenant, doc)
+                self._do_matmul(handler, req, tenant, doc, tail)
         except ProtocolError as exc:
             self._send_error(handler, req, exc.status, exc.code, str(exc))
         except QuotaExceeded as exc:
@@ -418,7 +428,7 @@ class KernelServer:
                 return None
         return self.auth.resolve(header)
 
-    def _read_json_body(self, handler, req: _Request) -> dict:
+    def _read_frame(self, handler, req: _Request) -> tuple[dict, TailReader]:
         length = handler.headers.get("Content-Length")
         try:
             length = int(length)
@@ -436,33 +446,38 @@ class KernelServer:
                 f"request body of {length} bytes exceeds the server cap "
                 f"of {self.max_body_bytes}", status=413,
                 code="payload_too_large")
-        raw = handler.rfile.read(length)
-        req.bytes_in = len(raw)
-        if len(raw) != length:
+        media = handler.headers.get_content_type()
+        if media != FRAME_CONTENT_TYPE:
+            raise ProtocolError(
+                f"request bodies are {FRAME_CONTENT_TYPE} frames, got "
+                f"{media}", status=415, code="unsupported_media_type")
+        # Read into a writable buffer: the arrays decode_array views in
+        # it are writable, like any array a caller hands the service.
+        raw = bytearray(length)
+        got = handler.rfile.readinto(raw)
+        req.bytes_in = got
+        if got != length:
             raise ProtocolError(
                 f"request body truncated: Content-Length announced "
-                f"{length} bytes, {len(raw)} arrived")
+                f"{length} bytes, {got} arrived")
         req.body_read = True
-        try:
-            doc = json.loads(raw)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ProtocolError(f"request body is not valid JSON "
-                                f"({exc})") from exc
-        if not isinstance(doc, dict):
-            raise ProtocolError("request body must be a JSON object")
-        return doc
+        # This module's json parses the header, like every other JSON
+        # document the server reads.
+        return parse_frame(raw, loads=json.loads)
 
     # ------------------------------------------------------------ endpoints
-    def _do_compile(self, handler, req: _Request, tenant, doc: dict) -> None:
+    def _do_compile(self, handler, req: _Request, tenant, doc: dict,
+                    tail: TailReader) -> None:
         from repro.api.session import points_fingerprint
 
         unknown = sorted(set(doc) - {"points", "points_id", "kernel",
                                      "plan"})
         if unknown:
             raise ProtocolError(f"compile has unknown key(s) {unknown}")
-        points = decode_array(doc.get("points"),
+        points = decode_array(doc.get("points"), tail,
                               max_elements=self.max_elements,
                               field="points")
+        tail.finish()
         if points.ndim != 2 or points.shape[0] < 2:
             raise ProtocolError(
                 f"points must be a 2-D (n, d) array with n >= 2, got "
@@ -493,7 +508,8 @@ class KernelServer:
             "compile_seconds": time.perf_counter() - t0,
         })
 
-    def _do_matmul(self, handler, req: _Request, tenant, doc: dict) -> None:
+    def _do_matmul(self, handler, req: _Request, tenant, doc: dict,
+                   tail: TailReader) -> None:
         unknown = sorted(set(doc) - {"points_id", "w", "w_chunks"})
         if unknown:
             raise ProtocolError(f"matmul has unknown key(s) {unknown}")
@@ -512,9 +528,13 @@ class KernelServer:
                 raise ProtocolError("w_chunks must be a non-empty list")
         else:
             chunk_docs = [doc["w"]]
-        panels = [decode_array(c, max_elements=self.max_elements,
+        panels = [decode_array(c, tail, max_elements=self.max_elements,
                                field=f"w_chunks[{i}]" if chunked else "w")
                   for i, c in enumerate(chunk_docs)]
+        # decode_array laid the chunks back to back, so no two share a
+        # byte and together they hold no more than the body; finish()
+        # refuses bytes left over after the last one.
+        tail.finish()
         try:
             n = tenant.service.shape(points_id)[0]
         except KeyError:
@@ -531,25 +551,29 @@ class KernelServer:
                     f"{list(panel.shape)}")
         t0 = time.perf_counter()
         # One submit per chunk: the dispatcher stacks compatible chunks
-        # (from this request AND concurrent ones) into one GEMM.
+        # (from this request AND concurrent ones) into one GEMM. Each
+        # panel is a view of the request body; submit() takes the copy.
         futures = [tenant.service.submit(points_id, panel)
                    for panel in panels]
         results = [f.result(self.request_timeout) for f in futures]
+        out = TailWriter()
         body = {
             "points_id": points_id,
             "serve_seconds": time.perf_counter() - t0,
         }
         if chunked:
-            body["y_chunks"] = [encode_array(y) for y in results]
+            body["y_chunks"] = [encode_array(y, out) for y in results]
         else:
-            body["y"] = encode_array(results[0])
-        self._send_json(handler, req, 200, body)
+            body["y"] = encode_array(results[0], out)
+        self._send_raw(handler, req, 200,
+                       frame_parts(json.dumps(body).encode(), out),
+                       content_type=FRAME_CONTENT_TYPE)
 
     # ------------------------------------------------------------ responses
     def _send_json(self, handler, req: _Request, status: int,
                    doc: dict, headers: dict | None = None) -> None:
         body = json.dumps(doc).encode()
-        self._send_raw(handler, req, status, body,
+        self._send_raw(handler, req, status, [body],
                        content_type="application/json", headers=headers)
 
     def _send_error(self, handler, req: _Request, status: int, code: str,
@@ -564,8 +588,8 @@ class KernelServer:
     def _body_unread(handler, req: _Request) -> bool:
         """Did this request declare a body nobody consumed?
 
-        True on early-error paths (401/404/413-by-header/429/…) that
-        reply before :meth:`_read_json_body` ran: the unread bytes are
+        True on early-error paths (401/404/413-by-header/415/503/…)
+        that reply before :meth:`_read_frame` ran: the unread bytes are
         still on the socket, and a keep-alive reuse would parse them as
         the next request line. Those responses must close the connection.
         """
@@ -583,13 +607,16 @@ class KernelServer:
         except ValueError:
             return True
 
-    def _send_raw(self, handler, req: _Request, status: int, body: bytes,
-                  content_type: str, headers: dict | None = None) -> None:
+    def _send_raw(self, handler, req: _Request, status: int,
+                  parts: list[bytes | memoryview], content_type: str,
+                  headers: dict | None = None) -> None:
+        """Send a response whose body is ``parts`` written in order (a
+        frame's arrays go out from their own buffers, never joined)."""
         req.status = status
-        req.bytes_out = len(body)
+        req.bytes_out = sum(memoryview(p).nbytes for p in parts)
         handler.send_response(status)
         handler.send_header("Content-Type", content_type)
-        handler.send_header("Content-Length", str(len(body)))
+        handler.send_header("Content-Length", str(req.bytes_out))
         handler.send_header("X-Repro-Protocol", str(PROTOCOL_VERSION))
         if self._body_unread(handler, req):
             # send_header("Connection", "close") also flips the
@@ -599,7 +626,8 @@ class KernelServer:
         for key, value in (headers or {}).items():
             handler.send_header(key, value)
         handler.end_headers()
-        handler.wfile.write(body)
+        for part in parts:
+            handler.wfile.write(part)
 
     def _account(self, req: _Request) -> None:
         bucket = f"{req.status // 100}xx" if req.status else "5xx"

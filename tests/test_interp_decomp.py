@@ -119,3 +119,35 @@ class TestInterpolativeDecomposition:
         d = interpolative_decomposition(G, bacc=1e-6)
         rel = np.linalg.norm(d.reconstruct(G) - G) / np.linalg.norm(G)
         assert rel < 1e-4
+
+    @pytest.mark.parametrize("shape, rank", [
+        ((40, 25), None),  # tall: more samples than candidates
+        ((12, 30), None),  # wide: s < m
+        ((40, 30), 4),     # rank-deficient
+    ])
+    def test_matches_economic_qr_reference(self, rng, monkeypatch, shape,
+                                           rank):
+        """The pivoted QR keeps only R and the pivots (mode="r"); its
+        skeleton, interp and rank equal the economic-mode reference bit
+        for bit."""
+        import scipy.linalg
+
+        s, m = shape
+        G = (lowrank_matrix(rng, s, m, rank) if rank
+             else rng.normal(size=shape))
+        got = interpolative_decomposition(G, bacc=1e-8)
+
+        qr = scipy.linalg.qr
+
+        def economic(A, mode, pivoting):
+            _q, R, piv = qr(A, mode="economic", pivoting=pivoting)
+            return R, piv
+
+        monkeypatch.setattr(scipy.linalg, "qr", economic)
+        ref = interpolative_decomposition(G, bacc=1e-8)
+        assert got.rank == ref.rank
+        if rank:
+            assert got.rank == rank
+        np.testing.assert_array_equal(got.skeleton, ref.skeleton)
+        np.testing.assert_array_equal(got.interp, ref.interp)
+        assert got.achieved_error == ref.achieved_error
