@@ -15,6 +15,12 @@ Two claims from the ``repro.codegen.compiled`` tentpole (ISSUE 8):
    PlanStore serves the evaluator with zero recompiles
    (``warm_recompiles == 0``), asserted unconditionally.
 
+The widest swept row (Q=512 by default) also records a dense reference:
+``dense_s`` times ``K @ W`` with the assembled kernel matrix (same N, Q
+and host), and ``gflops_share`` is the batched product's flop rate
+(:meth:`HMatrix.evaluation_flops` over ``batched_s``) as a share of the
+dense product's.
+
 Results land in ``benchmarks/results/compiled.json`` for
 ``validate_results.py`` (bit-identity and warm_recompiles gates are
 unconditional there too; the speedup gate keys off the recorded
@@ -113,6 +119,19 @@ def test_compiled_vs_batched(tmp_path_factory):
     assert warm.evaluator_for(H2) is not None
     warm_recompiles = warm.stats.builds
 
+    # Dense reference at the widest width: the host's GEMM rate on the
+    # same N and Q, against which the batched product's rate is read.
+    q_wide = max(SWEEP_Q)
+    K = get_kernel("gaussian", bandwidth=5.0).block(points, points)
+    W = rng.random((n, q_wide))
+    dense_s = best_seconds(lambda: K @ W)
+    wide = shapes[str(q_wide)]
+    wide["dense_s"] = dense_s
+    batched_gflops = H.evaluation_flops(q_wide) / wide["batched_s"] / 1e9
+    dense_gflops = 2.0 * n * n * q_wide / dense_s / 1e9
+    wide["gflops_share"] = batched_gflops / dense_gflops
+    del K
+
     print_table(
         f"Compiled vs batched ({DATASET}, N={n}, backend={ev.backend}, "
         f"{effective_cpu_count()} effective cpus)",
@@ -120,6 +139,9 @@ def test_compiled_vs_batched(tmp_path_factory):
          "bitwise"],
         rows,
     )
+    print(f"dense K @ W at Q={q_wide}: {fmt(dense_s * 1e3)} ms, "
+          f"{fmt(dense_gflops)} GFLOP/s; batched runs at "
+          f"{fmt(batched_gflops)} GFLOP/s ({wide['gflops_share']:.0%})")
 
     speedup_q1 = shapes.get("1", {}).get("speedup")
     gate_eligible = not BENCH_QUICK and "1" in shapes

@@ -154,6 +154,18 @@ def check_file(path: Path) -> list[str]:
             problems.append(
                 f"{path.name}: {recompiles} recompile(s) after a "
                 f"PlanStore reopen (gate: warm start compiles nothing)")
+        # (d) The widest row carries the dense K @ W reference that
+        # reads the batched product's flop rate against the host's GEMM.
+        shapes = payload.get("shapes") or {}
+        if shapes:
+            wide = shapes[max(shapes, key=int)]
+            for field in ("dense_s", "gflops_share"):
+                value = wide.get(field)
+                if not isinstance(value, (int, float)) or isinstance(
+                        value, bool) or not math.isfinite(value) or value <= 0:
+                    problems.append(
+                        f"{path.name}: widest row needs a finite, positive "
+                        f"{field}, got {value!r}")
         if payload.get("gate_eligible"):
             speedup = payload.get("speedup_q1")
             if speedup is None:

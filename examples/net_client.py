@@ -31,10 +31,14 @@ KERNEL = {"name": "gaussian", "bandwidth": 5.0}
 
 
 def main() -> None:
+    with tempfile.TemporaryDirectory(prefix="net-root-") as tmp:
+        serve(Path(tmp))
+
+
+def serve(root: Path) -> None:
     rng = np.random.default_rng(0)
     points = rng.random((2000, 2))
     W = rng.random((2000, 32))
-    root = Path(tempfile.mkdtemp(prefix="net-root-"))
 
     # ------------------------------------------- 1. serve two tenants
     quota = TenantQuota(max_requests=40, window_seconds=60.0)

@@ -23,10 +23,12 @@ source is executed:
   smuggle imports or arbitrary calls into the serving process.
 * **bounds** — every spec's output interval, view offset, and index
   slice must land inside the arrays the driver will actually index.
-* **near** — the per-panel output intervals ``[si, si+m)`` must be
-  pairwise disjoint (one Y-row writer per panel; when they tile
-  ``[0, N)`` the driver folds them into one dense accumulate, which is
-  only row-aligned under disjointness).
+* **near** — the output intervals ``[si, si+m)`` of the spec rows (one
+  per leaf-row slice of a super-row panel; a panel's slices share its
+  operand) must be pairwise disjoint (one Y-row writer per slice, so two
+  super-rows that overlap are caught; when they tile ``[0, N)`` the
+  driver folds them into one dense accumulate, which is only row-aligned
+  under disjointness).
 * **far** — single-panel intervals and stacked-scatter rows together
   must cover each S row at most once, and each ``_scatter_add`` call's
   index set must be duplicate-free: NumPy fancy ``dst[idx] += src``

@@ -2,10 +2,10 @@
 
 The :class:`~repro.core.parallel.ProcessEngine` is safe because of one
 invariant — *every Y/T/S row slice has exactly one writer per barrier
-phase* — enforced by construction (shards group near/far pairs by
-output node; leaves are disjoint). Tests sample that invariant; this
-module **certifies** it per engine instance, in the CSST style
-(partial-order analysis of a concurrent execution's trace):
+phase* — enforced by construction (shards take whole near super-rows
+and whole far output nodes; leaves are disjoint). Tests sample that
+invariant; this module **certifies** it per engine instance, in the
+CSST style (partial-order analysis of a concurrent execution's trace):
 
 1. *Recording*: :func:`trace_from_plans` turns an engine's shard plans
    into an access trace — for every worker and every barrier phase, the
@@ -105,11 +105,13 @@ def trace_from_plans(plans, *, n: int, rank_rows: int, num_workers: int,
     """Build the access trace of an engine from its shard plans.
 
     ``plans`` are :class:`~repro.core.parallel._ShardPlan`-shaped objects
-    (duck-typed: ``wid``/``near_pairs``/``point_rows``/``far_pairs``/
-    ``skel_rows``/``leaf_specs``). The master's interior-level work is
-    recorded coarsely (whole-array intervals at its own steps) — the
-    barriers totally order it against every worker, so coarseness can
-    never mask a race, only document the model.
+    (duck-typed: ``wid``/``near_groups``/``near_pairs``/``point_rows``/
+    ``far_pairs``/``skel_rows``/``leaf_specs``). A near super-row is one
+    panel: a wide product writes all its rows with one GEMM, so its Y
+    write is the group's whole row range. The master's interior-level
+    work is recorded coarsely (whole-array intervals at its own steps) —
+    the barriers totally order it against every worker, so coarseness
+    can never mask a race, only document the model.
     """
     accesses: set[tuple] = set()
     accesses.add(_access("master", 0, "W", "write", 0, n))
@@ -122,9 +124,11 @@ def trace_from_plans(plans, *, n: int, rank_rows: int, num_workers: int,
     accesses.add(_access("master", 6, "Y", "read", 0, n))
     for plan in plans:
         actor = f"worker{plan.wid}"
-        for (i, j) in plan.near_pairs:
+        for group in plan.near_groups:
             accesses.add(_access(actor, 1, "Y", "write",
-                                 *plan.point_rows[i]))
+                                 plan.point_rows[group[0]][0],
+                                 plan.point_rows[group[-1]][1]))
+        for (_i, j) in plan.near_pairs:
             accesses.add(_access(actor, 1, "W", "read",
                                  *plan.point_rows[j]))
         for (_off, rows, cols, start, t0) in plan.leaf_specs:

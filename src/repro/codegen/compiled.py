@@ -93,8 +93,9 @@ __all__ = [
 ]
 
 #: Payload format version of the compiled tier (bump on layout change;
-#: skewed artifacts degrade to a rebuild, never a misread).
-COMPILED_FORMAT_VERSION = 1
+#: skewed artifacts degrade to a rebuild, never a misread). Version 2:
+#: near specs are the leaf-row slices of super-row panels.
+COMPILED_FORMAT_VERSION = 2
 
 #: Panels at most this many columns run the fused narrow-Q driver; wider
 #: panels delegate to the batched evaluator (BLAS-bound regime — fusion
@@ -363,21 +364,27 @@ def build_artifact(cds, *, backend: str | None = None,
     far_panels = _batched_far_tables(cds, toff)
     up_levels, _ = _batched_tree_tables(cds, toff)
 
-    # ---- near: one 2-D GEMM per row panel --------------------------------
+    # ---- near: one 2-D GEMM per leaf-row slice of a super-row panel ----
+    # The slices of one panel share its operand (one view or one gather
+    # range); the arena holds the panels back to back, which is the
+    # slices back to back.
     near_specs, near_gidx, near_chunks = [], [], []
-    for panel, runs, k, si, _ei in near_panels:
-        m = panel.shape[0]
+    gat_off = 0
+    for panel, runs, k, _si, _ei, slices in near_panels:
         if len(runs) == 1:
-            near_specs.append((0, m, k, si, runs[0][0]))
+            mode, a = 0, runs[0][0]
         else:
-            near_specs.append((1, m, k, si, sum(g.size for g in near_gidx)))
+            mode, a = 1, gat_off
             near_gidx.append(_expand_runs(runs))
+            gat_off += k
+        for _rows, y0, y1 in slices:
+            near_specs.append((mode, y1 - y0, k, y0, a))
         near_chunks.append(np.ascontiguousarray(panel, dtype=np.float64)
                            .ravel())
 
     # ---- far: same-shape groups stack; the rest stay 2-D -----------------
     by_shape: dict[tuple, list[int]] = {}
-    for idx, (panel, _runs, k, _si, _ei) in enumerate(far_panels):
+    for idx, (panel, _runs, k, _si, _ei, _sl) in enumerate(far_panels):
         by_shape.setdefault((panel.shape[0], k), []).append(idx)
     stacked = {i for members in by_shape.values() if len(members) > 1
                for i in members}
@@ -390,7 +397,7 @@ def build_artifact(cds, *, backend: str | None = None,
         gat_off = sum(g.size for g in far_gidx)
         orow_off = sum(r.size for r in fstack_orows)
         for i in members:
-            panel, runs, _k, si, ei = far_panels[i]
+            panel, runs, _k, si, _ei, _sl = far_panels[i]
             far_gidx.append(_expand_runs(runs))
             fstack_orows.append(np.arange(si, si + m))
             fstack_chunks.append(
@@ -398,7 +405,7 @@ def build_artifact(cds, *, backend: str | None = None,
         fstack_specs.append((len(members), m, k, gat_off, orow_off))
 
     far_specs, far_chunks = [], []
-    for idx, (panel, runs, k, si, _ei) in enumerate(far_panels):
+    for idx, (panel, runs, k, si, _ei, _sl) in enumerate(far_panels):
         if idx in stacked:
             continue
         m = panel.shape[0]
@@ -454,7 +461,8 @@ def build_artifact(cds, *, backend: str | None = None,
         "up_arena": _cat_f(up_chunks),
     }
     counts = {
-        "near_panels": len(near_specs),
+        "near_panels": len(near_panels),
+        "near_slices": len(near_specs),
         "far_singles": len(far_specs),
         "far_stacks": len(fstack_specs),
         "far_stack_members": len(fstack_orows),
@@ -500,12 +508,12 @@ def {name}(W, Y, ws):
     T = ws.T
     S = ws.S
     S[:] = 0.0
-    # Near loop: one 2-D GEMM per row panel. Single-run operands are
-    # views of W; scattered operands come from one global gather. When
-    # the panel row ranges tile [0, N) (ws.nout is bound), panels write
-    # a Y-aligned arena and accumulate in ONE vectorized add — Y is
-    # all-zero here, so 0.0 + x per element matches the batched
-    # evaluator's per-panel adds bit-for-bit.
+    # Near loop: one 2-D GEMM per leaf-row slice of a super-row panel.
+    # Single-run operands are views of W; scattered operands come from
+    # one global gather. When the slice row ranges tile [0, N) (ws.nout
+    # is bound), slices write a Y-aligned arena and accumulate in ONE
+    # vectorized add — Y is all-zero here, so 0.0 + x per element
+    # matches the batched evaluator's per-slice adds bit-for-bit.
     if ws.ngat is not None:
         _gather(W, NEAR_GIDX, ws.ngat)
     if ws.nout is not None:
@@ -577,10 +585,11 @@ class _Plan:
         for (mode, m, k, si, a), chunk in panels(
                 t["near_specs"], t["near_arena"], lambda d: d[1] * d[2]):
             self.near.append((mode, chunk.reshape(m, k), m, k, si, a))
-        # Row panels usually tile [0, N) exactly (every row sits in one
-        # leaf and every leaf emits one near panel); when they do, the
-        # workspace lays the panel outputs in one Y-aligned arena and
-        # the driver folds the per-panel adds into a single accumulate.
+        # Leaf-row slices usually tile [0, N) exactly (every row sits in
+        # one leaf and every leaf is a slice of one super-row panel);
+        # when they do, the workspace lays the slice outputs in one
+        # Y-aligned arena and the driver folds the per-slice adds into a
+        # single accumulate.
         self.near.sort(key=lambda e: e[4])
         ranges = [(e[4], e[4] + e[2]) for e in self.near]
         self.near_dense = bool(

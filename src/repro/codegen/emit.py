@@ -347,13 +347,30 @@ def generate_evaluator(
 # Batched (bucketed batched-GEMM) emission.
 #
 # The reduction loops (near, coupling) lower to *row panels*: all blocks
-# sharing an output node concatenate into one wide generator panel, so the
-# whole reduction for that node is a single 2-D GEMM against gathered
+# written by one row group concatenate into one wide generator panel, so
+# the group's whole reduction is a single 2-D GEMM against gathered
 # operand rows, scattered back by a plain slice add (single writer, no
-# atomics, no ``np.add.at``). The tree loops lower to *stacked GEMMs* over
-# the CDS shape buckets, one ``np.matmul`` per (level, role, shape) group.
-# Either way the per-block interpreter dispatch leaves the critical path.
+# atomics, no ``np.add.at``). Coupling panels hold one output node each;
+# near panels are *super-rows* of sibling leaves (see ``_super_rows``).
+# The tree loops lower to *stacked GEMMs* over the CDS shape buckets, one
+# ``np.matmul`` per (level, role, shape) group. Either way the per-block
+# interpreter dispatch leaves the critical path.
 # --------------------------------------------------------------------------
+
+#: Right-hand sides at least this many columns wide run one GEMM per
+#: super-row panel; narrower ones run one GEMM per leaf-row slice of it.
+#: Below this width a whole-panel GEMM is big enough for BLAS to go
+#: multi-threaded without being big enough to gain from it (DESIGN.md
+#: section 3 has the measurement).
+WIDE_Q_MIN = 32
+
+# A row panel may hold at most this many times the entries of the blocks
+# it carries. Within the bound, a panel whose gather runs nearly tile
+# their span is zero-padded to the full span (its operand becomes a pure
+# view of the source: no gather copy), and sibling near rows merge into
+# one super-row panel over the union of their columns.
+_PAD_LIMIT = 1.3
+
 
 def _runs(segments: list[tuple[int, int]]):
     """Merge sorted ``[start, stop)`` segments into maximal contiguous runs.
@@ -371,55 +388,130 @@ def _runs(segments: list[tuple[int, int]]):
     return tuple((int(a), int(b)) for a, b in merged)
 
 
-# A panel whose gather runs span a nearly-contiguous range is zero-padded
-# to the full span instead: up to this much extra compute buys an operand
-# that is a pure view of the source (no gather copy, no buffer traffic).
-_PAD_LIMIT = 1.3
+def _row_panel_tables(pairs, ranges, buf, offsets, groups=None):
+    """Row panels for one reduction loop.
 
-
-def _row_panel_tables(pairs, row_range, col_range, blocks):
-    """Row panels for one reduction loop: (panel, gather runs, K, si, ei).
-
-    ``row_range``/``col_range`` map a node id to its ``[start, stop)`` rows
-    in the output/operand panel; ``blocks[(i, j)]`` is the generator. A
-    single gather run executes against a *view* of the operand; when the
-    runs almost tile their span, the panel is zero-padded over the holes to
-    force that case (``_PAD_LIMIT`` bounds the wasted flops).
+    ``ranges[v]`` is node v's ``[start, stop)`` in the output/operand
+    panel (both loops index rows and columns the same way), and the block
+    of pair ``(i, j)`` is ``buf[offsets[(i, j)]:]`` shaped by the two
+    ranges. ``groups`` lists the row nodes of each panel, each group a
+    contiguous row range in order; ``None`` gives one panel per output
+    node. Every entry is ``(panel, runs, k, si, ei, slices)``: the panel
+    covers rows ``[si, ei)`` and the ``k`` operand rows of its gather
+    ``runs``, zero wherever a row node and a column node do not interact;
+    ``slices`` holds ``(rows_view, a, b)`` per row node, the leaf-row
+    GEMMs of the narrow path. Panels whose runs almost tile their span
+    are zero-padded over the holes, so the operand is a view of the
+    source (``_PAD_LIMIT`` bounds the panel against the entries its
+    blocks carry).
     """
     by_row: dict[int, list[int]] = {}
     for (i, j) in pairs:
         by_row.setdefault(i, []).append(j)
+    if groups is None:
+        groups = [(i,) for i in by_row]
+
+    def size(v):
+        a, b = ranges[v]
+        return b - a
+
     table = []
-    for i, js in by_row.items():
-        js = sorted(js, key=lambda j: col_range(j)[0])
-        segs = [col_range(j) for j in js]
-        runs = _runs(segs)
+    for group in groups:
+        si, ei = ranges[group[0]][0], ranges[group[-1]][1]
+        m = ei - si
+        if len(group) == 1:
+            cols = sorted(by_row[group[0]], key=lambda j: ranges[j][0])
+        else:
+            cols = sorted({j for i in group for j in by_row[i]},
+                          key=lambda j: ranges[j][0])
+        runs = _runs([ranges[j] for j in cols])
         k = sum(b - a for a, b in runs)
         lo, hi = runs[0][0], runs[-1][1]
-        m = blocks[(i, js[0])].shape[0]
-        if len(runs) > 1 and hi - lo <= _PAD_LIMIT * k:
-            panel = np.zeros((m, hi - lo))
-            for j, (a, b) in zip(js, segs, strict=True):
-                panel[:, a - lo:b - lo] = blocks[(i, j)]
-            runs = ((lo, hi),)
-            k = hi - lo
+        carried = m * k if len(group) == 1 else sum(
+            size(i) * sum(size(j) for j in by_row[i]) for i in group)
+        padded = len(runs) > 1 and m * (hi - lo) <= _PAD_LIMIT * carried
+        if len(group) == 1 and not padded:
+            i = group[0]
+            panel = np.ascontiguousarray(np.hstack([
+                buf[offsets[(i, j)]:offsets[(i, j)] + m * size(j)]
+                .reshape(m, size(j)) for j in cols
+            ]))
         else:
-            panel = np.ascontiguousarray(
-                np.hstack([blocks[(i, j)] for j in js])
-            )
-        si, ei = row_range(i)
-        table.append((panel, runs, k, si, ei))
+            if padded:
+                runs = ((lo, hi),)
+                k = hi - lo
+                pos = {j: ranges[j][0] - lo for j in cols}
+            else:
+                pos, c = {}, 0
+                for j in cols:
+                    pos[j] = c
+                    c += size(j)
+            panel = np.zeros((m, k))
+            for i in group:
+                r0, r1 = ranges[i][0] - si, ranges[i][1] - si
+                for j in by_row[i]:
+                    c, w = pos[j], size(j)
+                    o = offsets[(i, j)]
+                    panel[r0:r1, c:c + w] = (
+                        buf[o:o + (r1 - r0) * w].reshape(r1 - r0, w))
+        slices = tuple(
+            (panel[ranges[i][0] - si:ranges[i][1] - si],
+             ranges[i][0], ranges[i][1])
+            for i in group
+        )
+        table.append((panel, runs, k, si, ei, slices))
     return tuple(table)
+
+
+def _super_rows(cds: CDSMatrix) -> list[tuple[int, ...]]:
+    """Near row groups: sibling leaves merged bottom-up into super-rows.
+
+    Starts from one group per leaf and replaces the groups of a node's two
+    children by one group of the node's leaves while the merged panel
+    (the node's rows by the union of its leaves' near columns) holds at
+    most ``_PAD_LIMIT`` times the entries of the D blocks it carries.
+    Works on the leaf-level near incidence, one tree level at a time.
+    Returns the groups' leaf ids in tree (row) order.
+    """
+    t = cds.tree
+    pairs = np.asarray(cds.near_visit_order(), dtype=np.intp).reshape(-1, 2)
+    leaves = np.flatnonzero(t.lchild < 0)
+    leaves = leaves[np.argsort(t.start[leaves], kind="stable")]
+    lpos = np.full(t.num_nodes, -1, dtype=np.intp)
+    lpos[leaves] = np.arange(len(leaves))
+    near = np.zeros((t.num_nodes, len(leaves)), dtype=bool)
+    near[pairs[:, 0], lpos[pairs[:, 1]]] = True
+    size = (t.stop - t.start).astype(np.int64)
+    carried = np.zeros(t.num_nodes, dtype=np.int64)
+    np.add.at(carried, pairs[:, 0], size[pairs[:, 0]] * size[pairs[:, 1]])
+    whole = np.zeros(t.num_nodes, dtype=bool)
+    whole[leaves] = carried[leaves] > 0
+    interior = np.flatnonzero(t.lchild >= 0)
+    for level in range(int(t.level.max()) - 1, -1, -1):
+        nodes = interior[t.level[interior] == level]
+        if not nodes.size:
+            continue
+        lc, rc = t.lchild[nodes], t.rchild[nodes]
+        near[nodes] = near[lc] | near[rc]
+        carried[nodes] = carried[lc] + carried[rc]
+        k = near[nodes] @ size[leaves]
+        whole[nodes] = (whole[lc] & whole[rc]
+                        & (size[nodes] * k <= _PAD_LIMIT * carried[nodes]))
+    parent_whole = np.zeros(t.num_nodes, dtype=bool)
+    parent_whole[1:] = whole[t.parent[1:]]
+    tops = np.flatnonzero(whole & ~parent_whole)
+    tops = tops[np.argsort(t.start[tops], kind="stable")]
+    bounds = np.searchsorted(t.start[leaves], np.stack([t.start[tops],
+                                                        t.stop[tops]]))
+    return [tuple(leaves[a:b].tolist()) for a, b in bounds.T.tolist()]
 
 
 def _batched_near_tables(cds: CDSMatrix):
     t = cds.tree
-
-    def rng(v):
-        return (int(t.start[v]), int(t.stop[v]))
-
-    blocks = {p: cds.near(*p) for p in cds.near_visit_order()}
-    return _row_panel_tables(cds.near_visit_order(), rng, rng, blocks)
+    ranges = dict(enumerate(zip(t.start.tolist(), t.stop.tolist(),
+                                strict=True)))
+    return _row_panel_tables(cds.near_visit_order(), ranges, cds.near_buf,
+                             cds.near_offset, groups=_super_rows(cds))
 
 
 def _rank_offsets(cds: CDSMatrix) -> tuple[dict[int, int], int]:
@@ -484,22 +576,19 @@ def _batched_tree_tables(cds: CDSMatrix, toff: dict[int, int]):
 
 def _batched_far_tables(cds: CDSMatrix, toff: dict[int, int]):
     srank = cds.factors.srank
-
-    def rng(v):
-        return (toff[v], toff[v] + srank(v))
-
-    blocks = {p: cds.far(*p) for p in cds.far_visit_order()}
-    return _row_panel_tables(cds.far_visit_order(), rng, rng, blocks)
+    ranges = {v: (o, o + srank(v)) for v, o in toff.items()}
+    return _row_panel_tables(cds.far_visit_order(), ranges, cds.far_buf,
+                             cds.far_offset)
 
 
 _BATCHED_SOURCE = '''\
 def {name}(W, Y, pool=None):
     """Generated batched HMatrix-matrix multiplication (tree order).
 
-    Lowering: near/coupling=batched row-panel 2-D GEMMs, tree=batched
-    stacked GEMMs over the CDS shape buckets. The pool argument is
-    accepted for interface parity and ignored: the fat kernels already
-    saturate BLAS without task-level threading.
+    Lowering: near=super-row panels, coupling=row panels (2-D GEMMs),
+    tree=batched stacked GEMMs over the CDS shape buckets. The pool
+    argument is accepted for interface parity and ignored: the fat
+    kernels already saturate BLAS without task-level threading.
     """
     Q = W.shape[1]
     if Q == 0:
@@ -508,24 +597,30 @@ def {name}(W, Y, pool=None):
     S = np.zeros((RANK_ROWS, Q))
     buf = np.empty((MAX_K, Q))
 
-    # Reduction loops: one wide row-panel GEMM per output node. A single
-    # writer owns each output range, so the update is a plain slice add;
-    # a single-run gather is a view of the source, scattered gathers copy
-    # their few contiguous runs into the shared buffer.
-    def _row_panels(panels, src, out):
-        for panel, runs, k, si, ei in panels:
+    # Reduction loops: one row panel per row group. A single writer owns
+    # each output range, so the update is a plain slice add; a
+    # single-run gather is a view of the source, scattered gathers copy
+    # their few contiguous runs into the shared buffer once per panel.
+    # Wide products run one GEMM per panel, narrow ones one GEMM per
+    # leaf-row slice of it.
+    def _row_panels(panels, src, out, wide):
+        for panel, runs, k, si, ei, slices in panels:
             if len(runs) == 1:
-                out[si:ei] += panel @ src[runs[0][0]:runs[0][1]]
-                continue
-            gat = buf[:k]
-            o = 0
-            for a, b in runs:
-                gat[o:o + b - a] = src[a:b]
-                o += b - a
-            out[si:ei] += panel @ gat
+                opnd = src[runs[0][0]:runs[0][1]]
+            else:
+                opnd = buf[:k]
+                o = 0
+                for a, b in runs:
+                    opnd[o:o + b - a] = src[a:b]
+                    o += b - a
+            if wide:
+                out[si:ei] += panel @ opnd
+            else:
+                for rows, a, b in slices:
+                    out[a:b] += rows @ opnd
 
     # Near loop.
-    _row_panels(NEAR_PANELS, W, Y)
+    _row_panels(NEAR_PANELS, W, Y, Q >= WIDE_Q_MIN)
 
     # Upward pass: levels bottom-up; inside a level every bucket is one
     # stacked GEMM writing disjoint skeleton rows of T.
@@ -534,8 +629,8 @@ def {name}(W, Y, pool=None):
             src = W if from_w else T
             T[t_rows] = np.matmul(GT, src[gather]).reshape(-1, Q)
 
-    # Coupling loop, reducing into the S panel.
-    _row_panels(FAR_PANELS, T, S)
+    # Coupling loop, reducing into the S panel (one output node per panel).
+    _row_panels(FAR_PANELS, T, S, True)
 
     # Downward pass: levels top-down; leaf buckets scatter into Y rows,
     # interior buckets into the children's S rows (disjoint per level).
@@ -592,6 +687,7 @@ def generate_batched_evaluator(
         "MAX_K": max(max_k, 1),
         "NEAR_PANELS": near_panels,
         "FAR_PANELS": far_panels,
+        "WIDE_Q_MIN": WIDE_Q_MIN,
         "UP_LEVELS": up_levels,
         "DOWN_LEVELS": down_levels,
     }

@@ -8,13 +8,14 @@ shards that work across a persistent pool of **worker processes**:
   exported once into ``multiprocessing.shared_memory`` segments, and every
   worker maps them zero-copy — block and basis views are reconstructed in
   the worker from the same offsets the serial engine uses;
-* the near/far row panels are sharded by *output node* (all interactions
-  writing one node's rows stay together), and the leaf basis buckets by
-  member, both with a deterministic LPT (longest-processing-time) packing
-  over a flop estimate;
+* the near panels are sharded by *super-row* (the sibling-leaf row groups
+  of the batched engine's near loop, each one panel), the far panels by
+  *output node* (all interactions writing one node's rows stay together),
+  and the leaf basis buckets by member, all with a deterministic LPT
+  (longest-processing-time) packing over a flop estimate;
 * per call, W/Y/T/S live in four shared scratch segments and the product
   runs as three barrier phases (see :class:`ProcessEngine`). Every output
-  row slice has exactly one writer, in the serial engine's per-node GEMM
+  row slice has exactly one writer, in the serial engine's GEMM
   granularity, so the "reduction" of per-shard partial products is a
   disjoint scatter and the result is **bit-identical** to the serial
   batched *lowering* — not merely within rounding. (The engine builds the
@@ -45,6 +46,13 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from repro.api.policy import DEFAULT_Q_CHUNK, effective_cpu_count
+from repro.codegen.emit import (
+    WIDE_Q_MIN,
+    _batched_tree_tables,
+    _rank_offsets,
+    _row_panel_tables,
+    _super_rows,
+)
 from repro.observability.faults import active_fault_plan
 
 __all__ = ["ProcessEngine", "WorkerCrashError", "default_start_method",
@@ -137,16 +145,16 @@ class _ShardPlan:
     q_cap: int
     shm_names: dict = field(default_factory=dict)
     buf_len: dict = field(default_factory=dict)
-    # Near shard: pairs grouped per output node + row/offset maps.
+    # Near shard: whole super-rows (leaf ids per group, in row order),
+    # their pairs, and the point-row/offset maps.
+    near_groups: list = field(default_factory=list)
     near_pairs: list = field(default_factory=list)
     point_rows: dict = field(default_factory=dict)
     near_off: dict = field(default_factory=dict)
-    near_shape: dict = field(default_factory=dict)
     # Far shard: pairs + skeleton-row ranges in the T/S panels.
     far_pairs: list = field(default_factory=list)
     skel_rows: dict = field(default_factory=dict)
     far_off: dict = field(default_factory=dict)
-    far_shape: dict = field(default_factory=dict)
     # Leaf basis shard: (basis offset, rows, cols, point start, T offset).
     leaf_specs: list = field(default_factory=list)
 
@@ -155,35 +163,19 @@ class _ShardState:
     """A worker's compiled tables: built once, applied every phase.
 
     Mirrors the serial batched engine exactly: row panels via
-    :func:`repro.codegen.emit._row_panel_tables` (same padding/run
-    merging), leaf buckets as stacked GEMMs grouped by shape.
+    :func:`repro.codegen.emit._row_panel_tables` (same super-rows, same
+    padding/run merging), leaf buckets as stacked GEMMs grouped by shape.
     """
 
     def __init__(self, plan: _ShardPlan, basis_buf: np.ndarray,
                  near_buf: np.ndarray, far_buf: np.ndarray):
-        from repro.codegen.emit import _row_panel_tables
-
         self.plan = plan
-
-        def views(pairs, offs, shapes, buf):
-            out = {}
-            for p in pairs:
-                r, c = shapes[p]
-                o = offs[p]
-                out[p] = buf[o:o + r * c].reshape(r, c)
-            return out
-
-        near_blocks = views(plan.near_pairs, plan.near_off,
-                            plan.near_shape, near_buf)
-        far_blocks = views(plan.far_pairs, plan.far_off,
-                           plan.far_shape, far_buf)
         self.near_panels = _row_panel_tables(
-            plan.near_pairs, plan.point_rows.__getitem__,
-            plan.point_rows.__getitem__, near_blocks,
+            plan.near_pairs, plan.point_rows, near_buf, plan.near_off,
+            groups=plan.near_groups,
         ) if plan.near_pairs else ()
         self.far_panels = _row_panel_tables(
-            plan.far_pairs, plan.skel_rows.__getitem__,
-            plan.skel_rows.__getitem__, far_blocks,
+            plan.far_pairs, plan.skel_rows, far_buf, plan.far_off,
         ) if plan.far_pairs else ()
         max_k = max(
             (e[2] for e in self.near_panels + self.far_panels
@@ -217,28 +209,33 @@ class _ShardState:
             )
 
     # ------------------------------------------------------------- phases
-    def _apply_row_panels(self, panels, src, out):
+    def _apply_row_panels(self, panels, src, out, wide):
         # Same loop as the generated batched code's ``_row_panels``.
         buf = self._gather_buf
-        for panel, runs, k, si, ei in panels:
+        for panel, runs, k, si, ei, slices in panels:
             if len(runs) == 1:
-                out[si:ei] += panel @ src[runs[0][0]:runs[0][1]]
-                continue
-            gat = buf[:k, :src.shape[1]]
-            o = 0
-            for a, b in runs:
-                gat[o:o + b - a] = src[a:b]
-                o += b - a
-            out[si:ei] += panel @ gat
+                opnd = src[runs[0][0]:runs[0][1]]
+            else:
+                opnd = buf[:k, :src.shape[1]]
+                o = 0
+                for a, b in runs:
+                    opnd[o:o + b - a] = src[a:b]
+                    o += b - a
+            if wide:
+                out[si:ei] += panel @ opnd
+            else:
+                for rows, a, b in slices:
+                    out[a:b] += rows @ opnd
 
     def run_phase(self, phase: int, W, Y, T, S) -> None:
         q = W.shape[1]
         if phase == _PHASE_NEAR_AND_LEAF_UP:
-            self._apply_row_panels(self.near_panels, W, Y)
+            self._apply_row_panels(self.near_panels, W, Y,
+                                   q >= WIDE_Q_MIN)
             for _G, GT, gather, own, _own2d in self.leaf_buckets:
                 T[own] = np.matmul(GT, W[gather]).reshape(-1, q)
         elif phase == _PHASE_FAR:
-            self._apply_row_panels(self.far_panels, T, S)
+            self._apply_row_panels(self.far_panels, T, S, True)
         elif phase == _PHASE_LEAF_DOWN:
             for G, _GT, gather, _own, own2d in self.leaf_buckets:
                 Y[gather.ravel()] += np.matmul(G, S[own2d]).reshape(-1, q)
@@ -318,7 +315,7 @@ class ProcessEngine:
        scatter their leaf buckets' ``G @ S`` into Y.
 
     Each Y/T/S row slice is written by exactly one worker with the same
-    per-node GEMMs the serial batched engine issues, so results are
+    GEMMs the serial batched engine issues, so results are
     bit-identical to ``order="batched"`` on one process whenever the cost
     model accepted batch lowering (when it rejected it, the serial path
     falls back to per-block code and agreement is < 1e-12, not bitwise).
@@ -333,8 +330,6 @@ class ProcessEngine:
     def __init__(self, H, num_workers: int | None = None,
                  q_chunk: int | None = None,
                  start_method: str | None = None):
-        from repro.codegen.emit import _batched_tree_tables, _rank_offsets
-
         # The engine holds H *weakly* plus direct references to the
         # arrays it actually needs (the permutation here; the CDS
         # buffers through the shard plans / shared-memory copies), so
@@ -446,18 +441,21 @@ class ProcessEngine:
         def skel_range(v):
             return (int(toff[v]), int(toff[v] + srank(v)))
 
-        # Group near/far pairs by output node: a row panel is indivisible.
-        def group(pairs):
-            by_row: dict[int, list] = {}
+        # Group pairs by row panel, which is indivisible: a super-row of
+        # leaves for near pairs, one output node for far pairs.
+        def by_row(pairs):
+            rows: dict[int, list] = {}
             for (i, j) in pairs:
-                by_row.setdefault(i, []).append((i, j))
-            return list(by_row.items())
+                rows.setdefault(i, []).append((i, j))
+            return rows
 
-        near_groups = group(cds.near_visit_order())
-        far_groups = group(cds.far_visit_order())
+        near_rows = by_row(cds.near_visit_order())
+        near_groups = [(g, [p for i in g for p in near_rows[i]])
+                       for g in _super_rows(cds)]
+        far_groups = list(by_row(cds.far_visit_order()).items())
         near_w = [
-            float(sum(t.node_size(i) * t.node_size(j) for _i, j in g))
-            for i, g in near_groups
+            float(sum(t.node_size(i) * t.node_size(j) for i, j in g))
+            for _group, g in near_groups
         ]
         far_w = [
             float(sum(srank(i) * srank(j) for _i, j in g))
@@ -478,13 +476,13 @@ class ProcessEngine:
             plan = _ShardPlan(wid=wid, n=self.n, rank_rows=self.rank_rows,
                               q_cap=self.q_cap)
             for gi in near_shards[wid]:
-                _i, pairs = near_groups[gi]
+                group, pairs = near_groups[gi]
+                plan.near_groups.append(group)
                 plan.near_pairs.extend(pairs)
             for (i, j) in plan.near_pairs:
                 plan.point_rows[i] = point_range(i)
                 plan.point_rows[j] = point_range(j)
                 plan.near_off[(i, j)] = int(cds.near_offset[(i, j)])
-                plan.near_shape[(i, j)] = (t.node_size(i), t.node_size(j))
             for gi in far_shards[wid]:
                 _i, pairs = far_groups[gi]
                 plan.far_pairs.extend(pairs)
@@ -492,7 +490,6 @@ class ProcessEngine:
                 plan.skel_rows[i] = skel_range(i)
                 plan.skel_rows[j] = skel_range(j)
                 plan.far_off[(i, j)] = int(cds.far_offset[(i, j)])
-                plan.far_shape[(i, j)] = (srank(i), srank(j))
             for li in leaf_shards[wid]:
                 v = leaves[li]
                 rows, cols = cds.basis_shape[v]

@@ -35,9 +35,11 @@ next to its store.
 
 from __future__ import annotations
 
+import contextlib
 import hmac
 import json
 import re
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -71,6 +73,10 @@ _ROUTE = re.compile(r"^/v1/(?P<tenant>[^/]+)/(?P<verb>compile|matmul|stats)$")
 #: Default cap on one request body (64 MiB of frame ≈ 8.4M float64
 #: values) — resource safety, overridable per server.
 DEFAULT_MAX_BODY = 64 * 2**20
+
+#: After a reply sent before the body was read, the server reads and
+#: drops at most ``max_body_bytes`` of that body for at most this long.
+_DISCARD_SECONDS = 5.0
 
 
 class AuditLog:
@@ -618,7 +624,8 @@ class KernelServer:
         handler.send_header("Content-Type", content_type)
         handler.send_header("Content-Length", str(req.bytes_out))
         handler.send_header("X-Repro-Protocol", str(PROTOCOL_VERSION))
-        if self._body_unread(handler, req):
+        unread = self._body_unread(handler, req)
+        if unread:
             # send_header("Connection", "close") also flips the
             # handler's close_connection flag, so the socket really is
             # torn down after this response instead of serving garbage.
@@ -628,6 +635,39 @@ class KernelServer:
         handler.end_headers()
         for part in parts:
             handler.wfile.write(part)
+        if unread:
+            self._discard_body(handler)
+
+    def _discard_body(self, handler) -> None:
+        """Half-close, then read and drop the body an early reply left.
+
+        Closing a socket with unread input makes the kernel reset the
+        connection, and the reset destroys the reply before a client
+        that is still sending its body reads it: the client sees a
+        broken pipe instead of the status and its Retry-After. Reading
+        is bounded by ``max_body_bytes`` and :data:`_DISCARD_SECONDS`,
+        so a client cannot pin the handler thread with it.
+        """
+        try:
+            declared = int(handler.headers.get("Content-Length", -1))
+        except ValueError:
+            declared = -1
+        budget = (min(declared, self.max_body_bytes) if declared > 0
+                  else self.max_body_bytes)
+        deadline = time.monotonic() + _DISCARD_SECONDS
+        # A reset or a timeout ends the reading; the reply went out.
+        with contextlib.suppress(OSError):
+            handler.wfile.flush()
+            handler.connection.shutdown(socket.SHUT_WR)
+            while budget > 0:
+                left = deadline - time.monotonic()
+                if left <= 0:
+                    break
+                handler.connection.settimeout(left)
+                chunk = handler.rfile.read1(min(budget, 1 << 16))
+                if not chunk:
+                    break
+                budget -= len(chunk)
 
     def _account(self, req: _Request) -> None:
         bucket = f"{req.status // 100}xx" if req.status else "5xx"

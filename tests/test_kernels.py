@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro import inspector
 from repro.kernels import (
     GaussianKernel,
     InverseDistanceKernel,
@@ -15,6 +16,7 @@ from repro.kernels import (
     get_kernel,
     pairwise_sq_distances,
 )
+from repro.sampling.neighbors import exact_knn
 
 
 def finite_points(n, d):
@@ -52,6 +54,44 @@ class TestPairwiseDistances:
         d_xy = pairwise_sq_distances(X, Y)
         d_yx = pairwise_sq_distances(Y, X)
         np.testing.assert_allclose(d_xy, d_yx.T, atol=1e-9)
+
+
+class TestTranslationStability:
+    """Distances do not depend on where the points sit; neither may the
+    computed ones. A 2-d set of spread 20 is moved up to 1e9 away from
+    the origin (Unix timestamps as 1-d inputs sit near 1.7e9)."""
+
+    OFFSETS = (0.0, 1e6, 1e7, 1e8, 1e9)
+
+    @pytest.fixture(scope="class")
+    def points(self):
+        return np.random.default_rng(0).random((600, 2)) * 20
+
+    def test_far_from_origin_matches_direct_differences(self, points):
+        X = points[:40] + 1e9
+        Y = points[40:70] + 1e9
+        direct = ((X[:, None, :] - Y[None, :, :]) ** 2).sum(axis=-1)
+        np.testing.assert_allclose(pairwise_sq_distances(X, Y), direct,
+                                   rtol=0, atol=1e-9)
+
+    def test_h2_error_does_not_grow_with_offset(self, points):
+        kernel = get_kernel("gaussian", bandwidth=5.0)
+        W = np.random.default_rng(1).random((len(points), 4))
+        diff = points[:, None, :] - points[None, :, :]
+        ref = np.exp(-(diff ** 2).sum(axis=-1) / (2 * 5.0 ** 2)) @ W
+        errors = []
+        for offset in self.OFFSETS:
+            H = inspector(points + offset, kernel=kernel,
+                          structure="h2-geometric")
+            Y = H.matmul(W)
+            errors.append(np.linalg.norm(Y - ref) / np.linalg.norm(ref))
+        assert all(err <= 2 * errors[0] for err in errors), errors
+
+    def test_exact_knn_ignores_offset(self, points):
+        want = exact_knn(points, 8)
+        for offset in self.OFFSETS[1:]:
+            np.testing.assert_array_equal(exact_knn(points + offset, 8),
+                                          want)
 
 
 class TestGaussian:

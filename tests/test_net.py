@@ -797,6 +797,23 @@ class TestConnectionHygiene:
         finally:
             conn.close()
 
+    # A 3000 x 512 float64 panel is a 12 MB body, several times what the
+    # loopback socket buffers hold: the client is still sending when the
+    # server replies from the headers alone.
+    def test_early_401_reaches_client_sending_large_body(self, server):
+        with pytest.raises(ServerError) as err:
+            _client(server, token="wrong").matmul("grid",
+                                                  np.ones((3000, 512)))
+        assert (err.value.status, err.value.code) == (401,
+                                                      "unauthenticated")
+
+    def test_draining_503_reaches_client_sending_large_body(self, server):
+        assert server.drain(timeout=30) is True
+        with pytest.raises(ServerError) as err:
+            _client(server).matmul("grid", np.ones((3000, 512)))
+        assert (err.value.status, err.value.code) == (503, "draining")
+        assert err.value.retry_after == 1.0
+
     @pytest.mark.parametrize("content_type", [
         "application/json", None, "text/plain"])
     def test_non_frame_body_415_closes_connection(self, server,

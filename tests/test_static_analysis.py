@@ -306,9 +306,10 @@ class TestWritesetVerifier:
         assert analysis_counters()["writeset_rejected"] == 1
 
     def test_negative_index_rejected(self, artifact):
+        # A small plan's near loop may be one padded super-row with no
+        # gather at all; the negative entry then is the table's only one.
         gidx = np.asarray(artifact.tables["near_gidx"]).copy()
-        assert gidx.size
-        gidx[0] = -1
+        gidx = np.r_[-1, gidx[1:]].astype(gidx.dtype)
         with pytest.raises(AnalysisError, match="negative index"):
             verify_artifact(_doctored(artifact, near_gidx=gidx))
 
