@@ -30,5 +30,5 @@ setup(
     packages=find_packages("src"),
     package_dir={"": "src"},
     python_requires=">=3.10",
-    install_requires=["numpy"],
+    install_requires=["numpy", "scipy"],
 )

@@ -15,8 +15,9 @@ single-owner and every caller pays a full ``matmul`` per request.
   HMatrix are stacked column-wise into ONE ``matmul`` call, amortizing
   the batched-GEMM engine (and, with ``backend="process"``, the worker
   pool) across tenants; per-request results are split back out of the
-  stacked product, bit-identical to a solo evaluation of the same
-  columns;
+  stacked product and equal a solo evaluation of the same columns to
+  rounding (bit-identical only when BLAS runs GEMMs of the same widths:
+  it may pick another kernel for a narrower product);
 * per-request **latency and queue-depth stats** (p50/p99, batch sizes)
   make the serving behaviour observable.
 

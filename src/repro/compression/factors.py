@@ -2,7 +2,8 @@
 
 This is the "structure information" handed from the compression phase to
 structure analysis and data-layout construction. Submatrices are stored in
-plain per-node / per-pair dicts here; the CDS layer (repro.storage.cds)
+plain per-node / per-pair dicts here (near and coupling blocks as column
+slices of one kernel block per row node); the CDS layer (repro.storage.cds)
 repacks them into flat visit-order buffers and then re-points these dicts
 at views into those buffers, so each generator is held once.
 """

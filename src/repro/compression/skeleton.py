@@ -82,16 +82,30 @@ def skeletonize_tree(
     factors.skeleton = skeleton
     factors.sranks = sranks
 
-    # Coupling blocks for far pairs: B_ij = K(sk(i), sk(j)).
-    for i, j in htree.far_pairs():
-        factors.coupling[(i, j)] = kernel.block(
-            points[skeleton[i]], points[skeleton[j]]
-        )
-
-    # Near blocks stay exact: D_ij = K(I_i, I_j) in *tree order* so the
-    # executor can index Y/W with contiguous slices.
-    for i, j in htree.near_pairs():
-        factors.near_blocks[(i, j)] = kernel.block(
-            tree.node_points(i), tree.node_points(j)
-        )
+    # Coupling blocks for far pairs, B_ij = K(sk(i), sk(j)), and near blocks,
+    # D_ij = K(I_i, I_j) kept exact in *tree order* so the executor can index
+    # Y/W with contiguous slices. Both come from one kernel evaluation per
+    # row node i over its partners' columns, concatenated; each block is a
+    # column slice of that row block. build_cds copies every slice into its
+    # CDS slot, after which the row blocks are freed.
+    for i, partners in sorted(htree.far.items()):
+        if partners:
+            cols = [skeleton[j] for j in partners]
+            row = kernel.block(points[skeleton[i]], points[np.concatenate(cols)])
+            _split_columns(factors.coupling, i, partners, row, map(len, cols))
+    for i, partners in sorted(htree.near.items()):
+        if partners:
+            row = kernel.block(tree.node_points(i), np.concatenate(
+                [tree.node_points(j) for j in partners]))
+            _split_columns(factors.near_blocks, i, partners, row,
+                           map(tree.node_size, partners))
     return factors
+
+
+def _split_columns(blocks: dict, i: int, partners, row: np.ndarray, widths) -> None:
+    """Store consecutive column slices of ``row``, one per partner ``j`` of
+    the given widths, as ``blocks[(i, j)]``."""
+    start = 0
+    for j, width in zip(partners, widths, strict=True):
+        blocks[(i, j)] = row[:, start : start + width]
+        start += width

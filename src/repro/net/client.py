@@ -13,7 +13,8 @@ for clients in other languages.
 
 ``matmul(..., chunk_cols=q)`` splits a wide panel into column chunks so
 the server's dispatcher can micro-batch them with concurrent traffic;
-the concatenated result is bit-identical to the unchunked product.
+the concatenated result equals the unchunked product to rounding
+(bit-identical only when BLAS runs GEMMs of the same widths).
 
 POST bodies go out as frames (:mod:`repro.net.protocol`). A response
 is parsed by its ``Content-Type``: frames (``matmul``), JSON (everything
@@ -173,7 +174,8 @@ class KernelClient:
 
         ``chunk_cols`` streams the panel as column chunks of that width
         (one dispatcher submit each — they micro-batch server-side);
-        the stitched result is bit-identical to the single-panel path.
+        the stitched result equals the single-panel path to rounding
+        (bit-identical only when BLAS runs GEMMs of the same widths).
         """
         W = np.asarray(W, dtype=np.float64)
         squeeze = W.ndim == 1

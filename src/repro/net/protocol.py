@@ -36,8 +36,9 @@ Multi-RHS requests may ship the panel as ``w_chunks`` — a list of
 column-chunk arrays with equal row counts. The server submits each chunk
 to the :class:`~repro.api.service.KernelService` dispatcher *separately*,
 so chunks of one request micro-batch with other tenants' traffic into
-stacked GEMMs, and the chunked results concatenate bit-identically to a
-single-panel evaluation.
+stacked GEMMs, and the chunked results concatenate to a single-panel
+evaluation up to rounding: BLAS may pick another GEMM kernel for another
+width, so the bits match only for GEMMs of the same widths.
 
 :func:`plan_from_doc` / :func:`kernel_from_doc` are the only paths from
 untrusted JSON into :class:`~repro.api.plan.PlanConfig` / kernel

@@ -5,7 +5,8 @@ what makes it reusable across kernel/accuracy changes, Section 5 of the
 paper) and produces, per tree node, the list of far-field sample points used
 to cheapen interpolative decomposition:
 
-1. an approximate k-nearest-neighbour list per point, built greedily with
+1. a k-nearest-neighbour list per point: exact from a k-d tree query up to
+   ``exact_threshold`` points, else approximate, built greedily with
    random-projection trees (Dasgupta-Freund style),
 2. per-node neighbour lists, merging member points' neighbours and dropping
    the node's own points,

@@ -4,33 +4,31 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels.distance import pairwise_sq_distances
 from repro.tree.cluster_tree import ClusterTree
 from repro.utils.validation import check_points, require
 
 
-def exact_knn(points, k: int, chunk: int = 2048) -> np.ndarray:
+def exact_knn(points, k: int) -> np.ndarray:
     """Exact k-nearest-neighbour indices (excluding self), shape (N, k).
 
-    Chunked over query rows so the distance block stays cache-resident;
-    used directly for small N and as ground truth for the rp-tree tests.
+    Each row lists the k nearest *other* points, nearest first; among
+    points tied in distance the tree picks which to return. Answered by a
+    k-d tree query rather than from the N x N distance matrix; used
+    directly for small N and as ground truth for the rp-tree tests.
     """
+    # Imported here: scipy.spatial costs about 0.15 s to import, and only
+    # set-up needs it.
+    from scipy.spatial import cKDTree
+
     pts = check_points(points)
     n = len(pts)
     require(1 <= k < n, f"k must be in [1, N-1], got k={k}, N={n}")
-    out = np.empty((n, k), dtype=np.intp)
-    for start in range(0, n, chunk):
-        block = pts[start : start + chunk]
-        d2 = pairwise_sq_distances(block, pts)
-        # Exclude self-matches by pushing the diagonal to +inf.
-        rows = np.arange(len(block))
-        d2[rows, start + rows] = np.inf
-        # argpartition then sort the k winners for deterministic order.
-        part = np.argpartition(d2, k - 1, axis=1)[:, :k]
-        part_d = np.take_along_axis(d2, part, axis=1)
-        order = np.argsort(part_d, axis=1, kind="stable")
-        out[start : start + len(block)] = np.take_along_axis(part, order, axis=1)
-    return out
+    _, idx = cKDTree(pts).query(pts, k=k + 1)
+    # Drop self by index, not by position: among coincident points self
+    # need not come first, or be returned at all (then the farthest goes).
+    drop = idx == np.arange(n)[:, None]
+    drop[~drop.any(axis=1), -1] = True
+    return idx[~drop].reshape(n, k).astype(np.intp, copy=False)
 
 
 def node_neighbor_lists(tree: ClusterTree, knn: np.ndarray) -> dict[int, np.ndarray]:

@@ -59,9 +59,12 @@ def build_sampling_plan(
         Target sample-set size per node. Defaults to ``4 * k``, which keeps
         the ID row count comfortably above typical sranks.
     exact_threshold:
-        Below this N, exact k-NN is used; above it, random-projection trees
-        (matching the paper: exact k-NN "can be costly ... use a greedy
-        search based on random projection trees").
+        Up to this N, exact k-NN (a k-d tree query) is used; above it,
+        random-projection trees, as in the paper, which uses them for
+        large, high-dimensional point sets where exact k-NN "can be costly
+        ... use a greedy search based on random projection trees". The
+        k-d tree makes exact k-NN cheap at small N and in low dimension,
+        but its query cost grows quickly with d.
     random_fraction:
         Fraction of each node's sample budget drawn uniformly from the rest
         of the point set instead of the neighbour candidates; guards the ID

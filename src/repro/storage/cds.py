@@ -216,8 +216,9 @@ def build_cds(
     own every generator: each entry of ``factors.leaf_basis``,
     ``factors.transfer``, ``factors.near_blocks`` and ``factors.coupling``
     is replaced by its view into the CDS buffer (bit-identical values), so
-    the arrays those dicts held before are freed instead of living beside
-    a second copy.
+    the arrays those dicts held before, and the row blocks the near and
+    coupling blocks were sliced from, are freed instead of living beside a
+    second copy.
     """
     cds = CDSMatrix(
         factors=factors,

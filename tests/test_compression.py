@@ -81,6 +81,50 @@ class TestSkeletonization:
             skeletonize_tree(htree, gaussian_kernel, plan, bacc=0.0)
 
 
+class TestRowNodeKernelCalls:
+    """Near and coupling blocks come from one kernel evaluation per row
+    node; each block is a column slice of its row's block."""
+
+    @pytest.fixture
+    def recorded(self, pipeline_2d):
+        calls = []
+
+        class Recording(GaussianKernel):
+            def block(self, X, Y):
+                out = super().block(X, Y)
+                calls.append(out)
+                return out
+
+        _tree, htree, plan = pipeline_2d
+        f = skeletonize_tree(htree, Recording(bandwidth=0.5), plan, bacc=1e-5)
+        return htree, f, calls
+
+    def test_one_call_per_row_node(self, recorded):
+        htree, f, calls = recorded
+        ids = len(set(htree.nodes_with_basis()) - {0})
+        rows = sum(1 for p in htree.near.values() if p)
+        rows += sum(1 for p in htree.far.values() if p)
+        assert len(calls) == ids + rows
+        assert len(calls) < len(f.near_blocks) + len(f.coupling)
+        block_entries = sum(a.size for blocks in (f.near_blocks, f.coupling)
+                            for a in blocks.values())
+        assert sum(c.size for c in calls[ids:]) == block_entries
+
+    @pytest.mark.parametrize("which", ["near_blocks", "coupling"])
+    def test_blocks_are_column_slices_of_their_row(self, recorded, which):
+        htree, f, calls = recorded
+        row_of = {}
+        for (i, _j), block in getattr(f, which).items():
+            row = row_of.setdefault(i, block.base)
+            assert block.base is row and any(row is c for c in calls)
+            assert np.shares_memory(block, row)
+        partners = htree.near if which == "near_blocks" else htree.far
+        for i, row in row_of.items():
+            widths = [getattr(f, which)[(i, j)].shape[1] for j in partners[i]]
+            assert row.shape[1] == sum(widths)
+        assert len({id(r) for r in row_of.values()}) == len(row_of)
+
+
 class TestEvaluationAccuracy:
     @pytest.mark.parametrize("structure,params", [
         ("h2-geometric", {"tau": 0.65}),

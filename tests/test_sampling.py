@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.compression import skeletonize_tree
+from repro.htree import build_htree
+from repro.kernels.distance import pairwise_sq_distances
 from repro.sampling import (
     build_sampling_plan,
     exact_knn,
@@ -12,6 +15,44 @@ from repro.sampling import (
 )
 from repro.sampling.rptree import knn_recall
 from repro.tree import build_cluster_tree
+
+
+def _as_2d(points) -> np.ndarray:
+    pts = np.asarray(points, dtype=np.float64)
+    return pts.reshape(len(pts), -1)
+
+
+def brute_force_knn(points, k: int) -> np.ndarray:
+    """O(N^2) oracle for ``exact_knn``: the k nearest other points from the
+    full distance matrix, nearest first."""
+    pts = _as_2d(points)
+    d2 = pairwise_sq_distances(pts, pts)
+    np.fill_diagonal(d2, np.inf)
+    part = np.argpartition(d2, k - 1, axis=1)[:, :k]
+    order = np.argsort(np.take_along_axis(d2, part, axis=1), axis=1,
+                       kind="stable")
+    return np.take_along_axis(part, order, axis=1)
+
+
+def neighbour_distances(points, knn: np.ndarray) -> np.ndarray:
+    """Distances from each point to the neighbours ``knn`` lists for it,
+    from direct differences."""
+    pts = _as_2d(points)
+    return np.sqrt(((pts[knn] - pts[:, None, :]) ** 2).sum(axis=-1))
+
+
+def assert_matches_oracle(points, k: int) -> np.ndarray:
+    """``exact_knn`` returns k distinct other points per row, nearest
+    first, at the oracle's distances (ties may pick other indices)."""
+    knn = exact_knn(points, k)
+    n = len(_as_2d(points))
+    assert knn.shape == (n, k) and knn.dtype == np.intp
+    assert (knn != np.arange(n)[:, None]).all()
+    assert all(len(np.unique(row)) == k for row in knn)
+    want = np.sort(neighbour_distances(points, brute_force_knn(points, k)),
+                   axis=1)
+    np.testing.assert_array_equal(neighbour_distances(points, knn), want)
+    return knn
 
 
 class TestExactKnn:
@@ -30,11 +71,10 @@ class TestExactKnn:
         for i in range(40):
             assert i not in knn[i]
 
-    def test_chunking_consistent(self, rng):
+    def test_matches_oracle(self, rng):
         pts = rng.random((100, 2))
-        a = exact_knn(pts, k=4, chunk=7)
-        b = exact_knn(pts, k=4, chunk=1000)
-        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(assert_matches_oracle(pts, 4),
+                                      brute_force_knn(pts, 4))
 
     def test_k_bounds(self, rng):
         pts = rng.random((10, 2))
@@ -49,6 +89,49 @@ class TestExactKnn:
         for i in range(50):
             d = np.linalg.norm(pts[knn[i]] - pts[i], axis=1)
             assert (np.diff(d) >= -1e-12).all()
+
+
+class TestExactKnnEdgeCases:
+    """The k-d tree answer against the brute-force oracle on inputs where
+    a position-based self drop or a tie-blind comparison would fail. Each
+    test draws from its own generator, leaving the session ``rng`` stream
+    of later tests as it was."""
+
+    def test_coincident_points(self):
+        pts = np.zeros((12, 2))
+        knn = assert_matches_oracle(pts, 5)
+        assert (neighbour_distances(pts, knn) == 0).all()
+
+    def test_duplicated_points(self):
+        base = np.random.default_rng(40).random((40, 3))
+        pts = np.concatenate([base, base[:25], base[:10]])
+        assert_matches_oracle(pts, 6)
+
+    def test_more_copies_than_k(self):
+        """Ten copies of one point and k = 3: self may be missing from the
+        tree's k + 1 answers, and is still never returned."""
+        spread = np.random.default_rng(10).random((30, 2))
+        pts = np.concatenate([np.full((10, 2), 0.5), spread])
+        knn = assert_matches_oracle(pts, 3)
+        assert (knn[:10] < 10).all()
+
+    @pytest.mark.parametrize("n", [2, 9])
+    def test_n_is_k_plus_one(self, n):
+        pts = np.random.default_rng(n).random((n, 2))
+        knn = assert_matches_oracle(pts, n - 1)
+        for i, row in enumerate(knn):
+            assert sorted(row.tolist() + [i]) == list(range(n))
+
+    def test_one_dimensional(self):
+        line = np.random.default_rng(1).random(200)
+        assert_matches_oracle(line, 7)
+        assert_matches_oracle(line[:, None], 7)
+
+    def test_clustered_54d(self):
+        g = np.random.default_rng(54)
+        centers = g.normal(scale=3.0, size=(6, 54))
+        pts = centers[g.integers(0, 6, size=500)] + 0.2 * g.normal(size=(500, 54))
+        assert_matches_oracle(pts, 16)
 
 
 class TestRptreeKnn:
@@ -179,3 +262,43 @@ class TestSamplingPlan:
         plan = build_sampling_plan(tree, k=8, seed=0)
         assert plan.stats["knn_method"] == "exact"
         assert plan.stats["mean_samples"] > 0
+
+
+class TestSetUpDoesNotMovePlans:
+    """The k-d tree kNN and the one-call-per-row-node kernel blocks leave
+    plans as the brute-force kNN and per-pair kernel blocks made them:
+    equal samples, skeletons and sranks, blocks within 2 ulp."""
+
+    @pytest.mark.parametrize("fixture", ["points_2d", "points_hd"])
+    def test_against_per_pair_reference(self, request, monkeypatch,
+                                        gaussian_kernel, fixture):
+        points = request.getfixturevalue(fixture)
+        tree = build_cluster_tree(points, leaf_size=32, seed=0)
+        htree = build_htree(tree, "h2-geometric", tau=0.65)
+        plan = build_sampling_plan(tree, k=16, seed=0)
+        factors = skeletonize_tree(htree, gaussian_kernel, plan, bacc=1e-6)
+        with monkeypatch.context() as m:
+            m.setattr("repro.sampling.plan.exact_knn", brute_force_knn)
+            oracle_plan = build_sampling_plan(tree, k=16, seed=0)
+        for v in oracle_plan.samples:
+            np.testing.assert_array_equal(plan.for_node(v),
+                                          oracle_plan.for_node(v))
+        oracle = skeletonize_tree(htree, gaussian_kernel, oracle_plan,
+                                  bacc=1e-6)
+        np.testing.assert_array_equal(factors.sranks, oracle.sranks)
+        assert factors.skeleton.keys() == oracle.skeleton.keys()
+        for v, sk in oracle.skeleton.items():
+            np.testing.assert_array_equal(factors.skeleton[v], sk)
+
+        assert factors.near_blocks.keys() == set(htree.near_pairs())
+        for i, j in htree.near_pairs():
+            want = gaussian_kernel.block(tree.node_points(i),
+                                         tree.node_points(j))
+            np.testing.assert_array_max_ulp(factors.near_blocks[(i, j)],
+                                            want, maxulp=2)
+        assert factors.coupling.keys() == set(htree.far_pairs())
+        sk, pts = factors.skeleton, tree.points
+        for i, j in htree.far_pairs():
+            want = gaussian_kernel.block(pts[sk[i]], pts[sk[j]])
+            np.testing.assert_array_max_ulp(factors.coupling[(i, j)],
+                                            want, maxulp=2)

@@ -73,8 +73,13 @@ class TestCDS:
                                                 gaussian_kernel):
         res = compress(points_2d, gaussian_kernel, structure="h2-geometric",
                        tau=0.65, bacc=1e-5, leaf_size=32, seed=0)
-        refs = [weakref.ref(a) for name in GENERATOR_DICTS
+        gens = [a for name in GENERATOR_DICTS
                 for a in getattr(res.factors, name).values()]
+        # Near and coupling blocks are column slices of one kernel block
+        # per row node; those row blocks must go too.
+        refs = [weakref.ref(a) for a in gens]
+        refs += [weakref.ref(a.base) for a in gens if a.base is not None]
+        del gens
         build_cds(res.factors,
                   build_coarsenset(res.tree, res.sranks, p=4, agg=2),
                   build_blockset(res.htree, 2, kind="near"),
