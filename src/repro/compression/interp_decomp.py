@@ -6,13 +6,27 @@ Given a matrix G (samples x candidate columns), a column ID selects r
 ``G Pi = Q [R11 R12]`` gives ``P = [I | R11^{-1} R12] Pi^T`` and the rank r
 is the smallest prefix of the R diagonal meeting the requested *block
 accuracy* — the adaptive srank tuning of the paper's low-rank module.
+
+The pivoted QR and triangular solve run in the LAPACK that ``scipy.linalg``
+links against. :func:`single_threaded_lapack` runs them on one thread (see
+its docstring); this is the only module that imports ``scipy.linalg``.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
+import os
+import threading
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
+import numpy.typing as npt
+import scipy
 import scipy.linalg
 
 from repro.utils.validation import require
@@ -35,17 +49,116 @@ class InterpolativeDecomposition:
         0.0 when the factorisation is exact).
     """
 
-    skeleton: np.ndarray
-    interp: np.ndarray
+    skeleton: npt.NDArray[Any]
+    interp: npt.NDArray[Any]
     rank: int
     achieved_error: float
 
-    def reconstruct(self, G: np.ndarray) -> np.ndarray:
+    def reconstruct(self, G: npt.NDArray[Any]) -> npt.NDArray[Any]:
         """``G[:, J] @ P`` — the rank-r approximation of G."""
-        return G[:, self.skeleton] @ self.interp
+        approx: npt.NDArray[Any] = G[:, self.skeleton] @ self.interp
+        return approx
 
 
-def _choose_rank(rdiag: np.ndarray, bacc: float, max_rank: int) -> int:
+class OpenBLASThreads:
+    """Thread-count control of one OpenBLAS shared library.
+
+    The count is process-global in OpenBLAS's pthreads build (even
+    ``openblas_set_num_threads_local`` changes what other threads read),
+    so overlapping :meth:`pinned` scopes from several threads share one
+    lock and a depth counter: the first to enter saves the count and pins
+    it to one, the last to leave restores it.
+    """
+
+    def __init__(self, path: str, get_num_threads: Callable[[], int],
+                 set_num_threads: Callable[[int], None]) -> None:
+        self.path = path
+        self.get_num_threads = get_num_threads
+        self.set_num_threads = set_num_threads
+        self._lock = threading.Lock()
+        self._depth = 0  # guarded-by: self._lock
+        self._saved = 1  # guarded-by: self._lock
+
+    @contextmanager
+    def pinned(self) -> Iterator[None]:
+        """Run the body with this library on one thread."""
+        with self._lock:
+            if self._depth == 0:
+                self._saved = self.get_num_threads()
+                self.set_num_threads(1)
+            self._depth += 1
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._depth -= 1
+                if self._depth == 0:
+                    self.set_num_threads(self._saved)
+
+
+def _thread_controls(path: str, lib: ctypes.CDLL,
+                     prefix: str) -> OpenBLASThreads:
+    """Bind ``<prefix>{get,set}_num_threads``; AttributeError if absent."""
+    get = lib[prefix + "get_num_threads"]
+    get.restype = ctypes.c_int
+    get.argtypes = []
+    set_ = lib[prefix + "set_num_threads"]
+    set_.restype = None
+    set_.argtypes = [ctypes.c_int]
+    return OpenBLASThreads(path, lambda: int(get()), set_)
+
+
+#: Symbol prefixes of the thread-count functions: scipy's wheels build
+#: OpenBLAS with ``scipy_openblas_``; older ones export the plain names.
+_OPENBLAS_PREFIXES = ("scipy_openblas_", "openblas_")
+
+
+@functools.cache
+def scipy_openblas() -> OpenBLASThreads | None:
+    """The OpenBLAS bundled in scipy's wheel (``scipy.libs/``), or None.
+
+    numpy's wheel bundles a separate OpenBLAS, which this never returns.
+    The library is opened with ``RTLD_NOLOAD``, so only the copy that
+    ``scipy.linalg`` has already mapped into the process is found. Other
+    layouts (MKL, Accelerate, a system OpenBLAS) give None. Cached: every
+    caller shares one object, and so one lock and depth counter.
+    """
+    libs = os.path.join(os.path.dirname(os.path.dirname(scipy.__file__)),
+                        "scipy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
+        except OSError:
+            continue
+        for prefix in _OPENBLAS_PREFIXES:
+            try:
+                return _thread_controls(path, lib, prefix)
+            except AttributeError:  # symbols not exported under prefix
+                continue
+    return None
+
+
+@contextmanager
+def single_threaded_lapack() -> Iterator[None]:
+    """Run the body with scipy's OpenBLAS on one thread; numpy's is untouched.
+
+    scipy and numpy wheels each bundle their own OpenBLAS with its own
+    thread pool. Small ``geqp3``/``trsm`` calls gain nothing from a second
+    thread, and a pool left spinning after one call takes the CPUs from
+    the other library's next call, so an inspector interleaving IDs with
+    numpy kernel blocks runs several times slower with both pools at the
+    machine's core count. numpy's pool keeps its threads for the wide
+    products. Does nothing where :func:`scipy_openblas` finds no library.
+    """
+    blas = scipy_openblas()
+    if blas is None:
+        yield
+        return
+    with blas.pinned():
+        yield
+
+
+def _choose_rank(rdiag: npt.NDArray[Any], bacc: float, max_rank: int) -> int:
     """Smallest r with |R[r,r]| <= bacc * |R[0,0]|, clamped to [1, max_rank]."""
     scale = rdiag[0]
     if scale == 0.0:
@@ -56,7 +169,7 @@ def _choose_rank(rdiag: np.ndarray, bacc: float, max_rank: int) -> int:
 
 
 def interpolative_decomposition(
-    G: np.ndarray,
+    G: npt.NDArray[Any],
     bacc: float = 1e-5,
     max_rank: int = 256,
     rank: int | None = None,

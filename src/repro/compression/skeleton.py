@@ -13,7 +13,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.compression.factors import Factors
-from repro.compression.interp_decomp import interpolative_decomposition
+from repro.compression.interp_decomp import (
+    interpolative_decomposition,
+    single_threaded_lapack,
+)
 from repro.htree.htree import HTree
 from repro.kernels.base import Kernel
 from repro.sampling.plan import SamplingPlan
@@ -56,28 +59,30 @@ def skeletonize_tree(
     sranks = np.zeros(tree.num_nodes, dtype=np.intp)
     skeleton: dict[int, np.ndarray] = {}
 
-    # Bottom-up: children before parents (post-order guarantees this).
-    for v in tree.postorder():
-        if v == 0 or v not in needs_basis:
-            continue
-        if tree.is_leaf(v):
-            cand_idx = tree.node_point_indices(v)  # original order
-        else:
-            lc, rc = int(tree.lchild[v]), int(tree.rchild[v])
-            cand_idx = np.concatenate([skeleton[lc], skeleton[rc]])
+    # Bottom-up: children before parents (post-order guarantees this). The
+    # IDs run on one LAPACK thread: see single_threaded_lapack.
+    with single_threaded_lapack():
+        for v in tree.postorder():
+            if v == 0 or v not in needs_basis:
+                continue
+            if tree.is_leaf(v):
+                cand_idx = tree.node_point_indices(v)  # original order
+            else:
+                lc, rc = int(tree.lchild[v]), int(tree.rchild[v])
+                cand_idx = np.concatenate([skeleton[lc], skeleton[rc]])
 
-        min_rows = min(2 * max_rank, max(2 * len(cand_idx), 8))
-        samples = _node_sample_points(tree, plan, v, min_rows)
-        G = (kernel.block(samples, points[cand_idx]) if len(samples)
-             else np.zeros((0, len(cand_idx))))
-        decomp = interpolative_decomposition(G, bacc=bacc, max_rank=max_rank)
+            min_rows = min(2 * max_rank, max(2 * len(cand_idx), 8))
+            samples = _node_sample_points(tree, plan, v, min_rows)
+            G = (kernel.block(samples, points[cand_idx]) if len(samples)
+                 else np.zeros((0, len(cand_idx))))
+            decomp = interpolative_decomposition(G, bacc=bacc, max_rank=max_rank)
 
-        skeleton[v] = cand_idx[decomp.skeleton]
-        sranks[v] = decomp.rank
-        if tree.is_leaf(v):
-            factors.leaf_basis[v] = np.ascontiguousarray(decomp.interp.T)
-        else:
-            factors.transfer[v] = np.ascontiguousarray(decomp.interp.T)
+            skeleton[v] = cand_idx[decomp.skeleton]
+            sranks[v] = decomp.rank
+            if tree.is_leaf(v):
+                factors.leaf_basis[v] = np.ascontiguousarray(decomp.interp.T)
+            else:
+                factors.transfer[v] = np.ascontiguousarray(decomp.interp.T)
 
     factors.skeleton = skeleton
     factors.sranks = sranks
@@ -87,18 +92,23 @@ def skeletonize_tree(
     # Y/W with contiguous slices. Both come from one kernel evaluation per
     # row node i over its partners' columns, concatenated; each block is a
     # column slice of that row block. build_cds copies every slice into its
-    # CDS slot, after which the row blocks are freed.
+    # CDS slot, after which the row blocks are freed. A row block is not
+    # block(X, X), so each D_ii gets the kernel's diagonal shift here.
     for i, partners in sorted(htree.far.items()):
         if partners:
             cols = [skeleton[j] for j in partners]
             row = kernel.block(points[skeleton[i]], points[np.concatenate(cols)])
             _split_columns(factors.coupling, i, partners, row, map(len, cols))
+    shift = kernel.diagonal_shift
     for i, partners in sorted(htree.near.items()):
         if partners:
             row = kernel.block(tree.node_points(i), np.concatenate(
                 [tree.node_points(j) for j in partners]))
             _split_columns(factors.near_blocks, i, partners, row,
                            map(tree.node_size, partners))
+            if shift and i in partners:
+                D = factors.near_blocks[(i, i)]
+                D[np.diag_indices_from(D)] += shift
     return factors
 
 

@@ -56,6 +56,17 @@ class Kernel(ABC):
     def block(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Dense kernel block ``K(X[i], Y[j])`` of shape ``(len(X), len(Y))``."""
 
+    @property
+    def diagonal_shift(self) -> float:
+        """Regulariser added to every point's self-interaction ``K(x_i, x_i)``.
+
+        ``block(X, X)`` (the same array object twice) includes it; blocks
+        cut from one point set with other arrays do not, so code that
+        assembles diagonal blocks from views, such as the near blocks
+        ``D_ii``, adds it itself. 0 for kernels without a regulariser.
+        """
+        return 0.0
+
     def matrix(self, points: np.ndarray) -> np.ndarray:
         """Full kernel matrix on one point set (validation / small N only)."""
         pts = check_points(points)

@@ -25,6 +25,10 @@ class GaussianKernel(Kernel):
         self.bandwidth = float(bandwidth)
         self.regularization = float(regularization)
 
+    @property
+    def diagonal_shift(self) -> float:
+        return self.regularization
+
     def block(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         d2 = pairwise_sq_distances(X, Y)
         out = np.exp(d2 * (-0.5 / self.bandwidth**2))

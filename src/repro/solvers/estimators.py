@@ -8,6 +8,7 @@ and ``n`` may be omitted for operators that carry their ``shape``.
 
 from __future__ import annotations
 
+import warnings
 from collections.abc import Callable
 
 import numpy as np
@@ -36,7 +37,12 @@ def power_iteration(
     seed=0,
 ) -> tuple[float, np.ndarray]:
     """Dominant eigenvalue (by magnitude) and eigenvector of a symmetric
-    operator (mat-vec callable or composed operator)."""
+    operator (mat-vec callable or composed operator).
+
+    Stops once the Rayleigh quotient changes by at most ``tol`` relative to
+    its magnitude (or to 1); if ``max_iter`` runs out first, it warns with
+    a :class:`RuntimeWarning` and returns the last iterate.
+    """
     n = _operator_dim(apply_A, n)
     apply_A = as_apply(apply_A)
     require(n >= 1, "n must be >= 1")
@@ -54,6 +60,10 @@ def power_iteration(
         if abs(lam_new - lam) <= tol * max(abs(lam_new), 1.0):
             return lam_new, w
         lam, v = lam_new, w
+    warnings.warn(
+        f"power_iteration did not converge to tol={tol:g} in "
+        f"max_iter={max_iter} iterations; returning the last iterate",
+        RuntimeWarning, stacklevel=2)
     return lam, v
 
 

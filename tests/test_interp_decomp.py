@@ -1,11 +1,33 @@
 """Unit and property tests for interpolative decomposition."""
 
+import os
+import sys
+import threading
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compression import interpolative_decomposition
+from repro.compression import (
+    interp_decomp,
+    interpolative_decomposition,
+    skeleton,
+    skeletonize_tree,
+)
+from repro.compression.interp_decomp import (
+    OpenBLASThreads,
+    scipy_openblas,
+    single_threaded_lapack,
+)
+from repro.datasets import load_dataset
+from repro.htree import build_htree
+from repro.kernels import GaussianKernel
+from repro.sampling import build_sampling_plan
+from repro.tree import build_cluster_tree
 
 
 def lowrank_matrix(rng, s, m, r, noise=0.0):
@@ -151,3 +173,173 @@ class TestInterpolativeDecomposition:
         np.testing.assert_array_equal(got.skeleton, ref.skeleton)
         np.testing.assert_array_equal(got.interp, ref.interp)
         assert got.achieved_error == ref.achieved_error
+
+
+# --------------------------------------------------------------------------
+# The ID's LAPACK thread scope.
+# --------------------------------------------------------------------------
+
+#: The OpenBLAS bundled in scipy's wheel, when this install has one.
+WHEEL_OPENBLAS = sorted(
+    (Path(scipy.__file__).parent.parent / "scipy.libs").glob("*openblas*"))
+
+
+@pytest.fixture
+def blas():
+    """scipy's OpenBLAS at two threads for the test, then as it was."""
+    blas = scipy_openblas()
+    if blas is None:
+        pytest.skip("scipy links no OpenBLAS whose threads can be set")
+    before = blas.get_num_threads()
+    blas.set_num_threads(2)
+    try:
+        yield blas
+    finally:
+        blas.set_num_threads(before)
+
+
+class TestSingleThreadedLapack:
+    def test_one_thread_inside_previous_count_after(self, blas):
+        with single_threaded_lapack():
+            assert blas.get_num_threads() == 1
+        assert blas.get_num_threads() == 2
+
+    def test_nested_scopes_restore_on_last_exit(self, blas):
+        with single_threaded_lapack():
+            with single_threaded_lapack():
+                assert blas.get_num_threads() == 1
+            assert blas.get_num_threads() == 1
+        assert blas.get_num_threads() == 2
+
+    def test_restores_when_the_body_raises(self, blas):
+        with pytest.raises(KeyError), single_threaded_lapack():
+            raise KeyError("boom")
+        assert blas.get_num_threads() == 2
+
+    def test_overlapping_scopes_in_two_threads(self, blas):
+        """A enters, B enters, A leaves (B still sees one thread), B
+        leaves (the count is restored)."""
+        a_in, b_in, a_out = (threading.Event() for _ in range(3))
+        seen = {}
+
+        def first():
+            with single_threaded_lapack():
+                a_in.set()
+                assert b_in.wait(10)
+            a_out.set()
+
+        def second():
+            assert a_in.wait(10)
+            with single_threaded_lapack():
+                b_in.set()
+                assert a_out.wait(10)
+                seen["after_first_left"] = blas.get_num_threads()
+
+        threads = [threading.Thread(target=f) for f in (first, second)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+        assert seen == {"after_first_left": 1}
+        assert blas.get_num_threads() == 2
+
+    def test_stress_many_threads_keep_the_count_consistent(self):
+        """More threads than cores enter and leave scopes with a short
+        switch interval, over a fake library whose calls hand the
+        interpreter to another thread mid-update (as a ctypes call can):
+        a lost depth update restores the count under a live scope or
+        leaves it pinned at the end."""
+        count = [2]
+
+        def get():
+            time.sleep(0)
+            return count[0]
+
+        def set_(n):
+            time.sleep(0)
+            count[0] = n
+
+        fake = OpenBLASThreads("fake", get, set_)
+        errors = []
+
+        def worker():
+            for _ in range(200):
+                with fake.pinned():
+                    if count[0] != 1:
+                        errors.append("restored under a live scope")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert count == [2]
+
+    def test_missing_library_is_a_noop(self, monkeypatch):
+        real = scipy_openblas()
+        before = real.get_num_threads() if real is not None else None
+        monkeypatch.setattr(interp_decomp, "scipy_openblas", lambda: None)
+        ran = False
+        with single_threaded_lapack():
+            ran = True
+            if real is not None:
+                assert real.get_num_threads() == before
+        assert ran
+
+    @pytest.mark.skipif(not WHEEL_OPENBLAS,
+                        reason="scipy without a bundled OpenBLAS")
+    def test_finds_the_wheel_library_already_mapped(self):
+        """A renamed library or symbol prefix must fail here instead of
+        switching the pinning off silently."""
+        blas = scipy_openblas()
+        assert blas is not None
+        assert Path(blas.path) in WHEEL_OPENBLAS
+        maps = Path("/proc/self/maps")
+        if not maps.exists():
+            pytest.skip("no /proc/self/maps on this platform")
+        mapped = {os.path.realpath(line.split()[-1])
+                  for line in maps.read_text().splitlines()
+                  if "openblas" in line}
+        assert os.path.realpath(blas.path) in mapped
+
+    def test_highdim_sized_id_is_unchanged(self, blas):
+        """A 220 x 94 Gaussian sample block of 54-d points (the size of an
+        interior-node G on the highdim benchmark, rank 78-94) gives the
+        same skeleton and rank on one thread as on two."""
+        points = load_dataset("covtype", n=314, seed=0)
+        G = GaussianKernel(bandwidth=5.0).block(points[:220], points[220:])
+        outside = interpolative_decomposition(G)
+        with single_threaded_lapack():
+            inside = interpolative_decomposition(G)
+        assert inside.rank == outside.rank
+        np.testing.assert_array_equal(inside.skeleton, outside.skeleton)
+        np.testing.assert_allclose(inside.interp, outside.interp, rtol=0,
+                                   atol=1e-12)
+
+    def test_skeletonize_tree_runs_every_id_on_one_thread(self, blas,
+                                                          monkeypatch):
+        """The scope wraps the inspector's ID loop, and only that loop."""
+        real = skeleton.interpolative_decomposition
+        seen = []
+
+        def recording(G, **kwargs):
+            seen.append(blas.get_num_threads())
+            return real(G, **kwargs)
+
+        monkeypatch.setattr(skeleton, "interpolative_decomposition",
+                            recording)
+        tree = build_cluster_tree(np.random.default_rng(3).random((300, 2)),
+                                  leaf_size=32)
+        htree = build_htree(tree, "h2-geometric", tau=0.65)
+        plan = build_sampling_plan(tree, k=16, seed=0)
+        skeletonize_tree(htree, GaussianKernel(bandwidth=0.5), plan)
+        assert seen and set(seen) == {1}
+        assert blas.get_num_threads() == 2

@@ -94,6 +94,40 @@ class TestTranslationStability:
                                           want)
 
 
+class TestRegularizedProducts:
+    """A regulariser lives on K's diagonal, so the H2 product must carry
+    it in every near diagonal block D_ii (300 2-d points, bandwidth 0.5,
+    bacc 1e-7: without it the error rose from 1e-9 to 3.2e-3)."""
+
+    @pytest.fixture(scope="class")
+    def products(self):
+        points = np.random.default_rng(0).random((300, 2))
+        W = np.random.default_rng(1).random((300, 4))
+        out = {}
+        for reg in (0.0, 0.5):
+            kernel = GaussianKernel(bandwidth=0.5, regularization=reg)
+            H = inspector(points, kernel=kernel, structure="h2-geometric",
+                          leaf_size=32, bacc=1e-7)
+            out[reg] = (H, kernel.matrix(points) @ W)
+        return W, out
+
+    @pytest.mark.parametrize("order", ["batched", "original", "compiled"])
+    def test_regularized_error_matches_unregularized(self, products, order):
+        W, by_reg = products
+        errors = {}
+        for reg, (H, ref) in by_reg.items():
+            Y = H.matmul(W, order=order)
+            errors[reg] = np.linalg.norm(Y - ref) / np.linalg.norm(ref)
+        assert errors[0.0] < 1e-7
+        assert errors[0.5] <= 2 * errors[0.0], errors
+
+    def test_diagonal_shift(self):
+        assert GaussianKernel(regularization=0.5).diagonal_shift == 0.5
+        for name in ("gaussian", "laplace", "matern32", "inverse_distance",
+                     "polynomial"):
+            assert get_kernel(name).diagonal_shift == 0.0
+
+
 class TestGaussian:
     def test_diagonal_is_one(self, rng):
         X = rng.random((20, 3))

@@ -133,12 +133,23 @@ class TestKernelRidgeRegression:
 
 
 class TestEstimators:
-    def test_power_iteration_dominant_eig(self, rng):
-        A = spd_matrix(rng, 40, cond=50.0)
+    def test_power_iteration_dominant_eig(self):
+        # Own generator and a fixed spectrum: the dominant eigenvalue 50 is
+        # separated from the next (25) by a factor of two, so the iteration
+        # converges in a few dozen steps whatever the random basis.
+        rng = np.random.default_rng(136)
+        Q, _ = np.linalg.qr(rng.normal(size=(40, 40)))
+        eigs = np.concatenate([np.linspace(1.0, 25.0, 39), [50.0]])
+        A = (Q * eigs) @ Q.T
         lam, v = power_iteration(lambda x: A @ x, 40, tol=1e-10)
-        expect = np.linalg.eigvalsh(A).max()
-        assert lam == pytest.approx(expect, rel=1e-4)
+        assert lam == pytest.approx(50.0, rel=1e-8)
         np.testing.assert_allclose(A @ v, lam * v, atol=1e-3 * lam)
+
+    def test_power_iteration_warns_when_max_iter_runs_out(self):
+        A = np.diag([3.0, 2.0, 1.0])
+        with pytest.warns(RuntimeWarning, match="did not converge"):
+            lam, v = power_iteration(lambda x: A @ x, 3, max_iter=1)
+        assert np.isfinite(lam) and np.linalg.norm(v) == pytest.approx(1.0)
 
     def test_power_iteration_zero_operator(self):
         lam, _v = power_iteration(lambda x: np.zeros_like(x), 10)
