@@ -47,11 +47,13 @@ def build_blockset(
     block_dim = (num_nodes - 1 + blocksize) // blocksize  # Alg. 1 line 1
 
     # Lines 3-9: map interaction (i, j) to grid cell (iid, jid). Node ids
-    # are shifted by 1 (the root takes no part in interactions).
+    # are shifted by 1: the root takes part in no interaction, except when
+    # it is the only node (N at most the leaf size), and then its self
+    # pair lands in cell (0, 0).
     cells: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for (i, j) in interactions:
-        iid = (i - 1) // blocksize
-        jid = (j - 1) // blocksize
+        iid = max(i - 1, 0) // blocksize
+        jid = max(j - 1, 0) // blocksize
         cells.setdefault((iid, jid), []).append((i, j))
 
     # Lines 10-16: concatenate row i's non-empty cells into blockset[i],

@@ -46,6 +46,13 @@ from repro.core.executor import Executor
 from repro.core.hmatrix import HMatrix
 from repro.kernels.base import Kernel, get_kernel
 
+#: Folded into the HMatrix key of a kernel with a regulariser: its near
+#: diagonal blocks ``D_ii`` include :attr:`Kernel.diagonal_shift`. Plans of
+#: such kernels stored before that convention were keyed without the tag,
+#: so they miss and are rebuilt instead of served without the regulariser;
+#: kernels without one keep their keys.
+NEAR_SHIFT_TAG = ("near_blocks", "diagonal_shift")
+
 # --------------------------------------------------------------------------
 # Point-set fingerprinting (memoized).
 #
@@ -255,6 +262,8 @@ class Session:
         pfp = points_fingerprint(points)
 
         h_key = (pfp, plan.fingerprint(), kernel.identity())
+        if kernel.diagonal_shift:
+            h_key += (NEAR_SHIFT_TAG,)
         H = self.store.get_hmatrix(h_key)
         if H is not None:
             self.stats.hmatrix_hits += 1

@@ -361,7 +361,7 @@ def build_artifact(cds, *, backend: str | None = None,
 
     toff, rank_rows = _rank_offsets(cds)
     near_panels = _batched_near_tables(cds)
-    far_panels = _batched_far_tables(cds, toff)
+    far_stacks = _batched_far_tables(cds, toff)
     up_levels, _ = _batched_tree_tables(cds, toff)
 
     # ---- near: one 2-D GEMM per leaf-row slice of a super-row panel ----
@@ -382,40 +382,34 @@ def build_artifact(cds, *, backend: str | None = None,
         near_chunks.append(np.ascontiguousarray(panel, dtype=np.float64)
                            .ravel())
 
-    # ---- far: same-shape groups stack; the rest stay 2-D -----------------
-    by_shape: dict[tuple, list[int]] = {}
-    for idx, (panel, _runs, k, _si, _ei, _sl) in enumerate(far_panels):
-        by_shape.setdefault((panel.shape[0], k), []).append(idx)
-    stacked = {i for members in by_shape.values() if len(members) > 1
-               for i in members}
-
+    # ---- far: the batched engine's same-shape stacks; a stack of one ----
+    # panel stays a 2-D GEMM (a view of T when its operand rows are one
+    # contiguous run).
     far_gidx: list[np.ndarray] = []
     fstack_specs, fstack_orows, fstack_chunks = [], [], []
-    for (m, k), members in by_shape.items():
-        if len(members) < 2:
+    for P, idx, rows in far_stacks:
+        g, m, k = P.shape
+        if g < 2:
             continue
-        gat_off = sum(g.size for g in far_gidx)
-        orow_off = sum(r.size for r in fstack_orows)
-        for i in members:
-            panel, runs, _k, si, _ei, _sl = far_panels[i]
-            far_gidx.append(_expand_runs(runs))
-            fstack_orows.append(np.arange(si, si + m))
-            fstack_chunks.append(
-                np.ascontiguousarray(panel, dtype=np.float64).ravel())
-        fstack_specs.append((len(members), m, k, gat_off, orow_off))
+        fstack_specs.append((g, m, k, sum(x.size for x in far_gidx),
+                             sum(r.size for r in fstack_orows)))
+        far_gidx.append(idx.ravel())
+        fstack_orows.append(rows)
+        fstack_chunks.append(P.ravel())
 
     far_specs, far_chunks = [], []
-    for idx, (panel, runs, k, si, _ei, _sl) in enumerate(far_panels):
-        if idx in stacked:
+    for P, idx, rows in far_stacks:
+        g, m, k = P.shape
+        if g > 1:
             continue
-        m = panel.shape[0]
-        if len(runs) == 1:
-            far_specs.append((0, m, k, si, runs[0][0]))
+        cols = idx[0]
+        if cols[-1] - cols[0] == k - 1:
+            far_specs.append((0, m, k, rows[0], cols[0]))
         else:
-            far_specs.append((1, m, k, si, sum(g.size for g in far_gidx)))
-            far_gidx.append(_expand_runs(runs))
-        far_chunks.append(np.ascontiguousarray(panel, dtype=np.float64)
-                          .ravel())
+            far_specs.append((1, m, k, rows[0],
+                              sum(x.size for x in far_gidx)))
+            far_gidx.append(cols)
+        far_chunks.append(P.ravel())
 
     # ---- tree sweeps: shape buckets, one stacked GEMM each ---------------
     up_specs, up_gidx, up_own, up_level_sizes, up_chunks = [], [], [], [], []
@@ -465,7 +459,7 @@ def build_artifact(cds, *, backend: str | None = None,
         "near_slices": len(near_specs),
         "far_singles": len(far_specs),
         "far_stacks": len(fstack_specs),
-        "far_stack_members": len(fstack_orows),
+        "far_stack_members": sum(spec[0] for spec in fstack_specs),
         "up_buckets": len(up_specs),
         "levels": len(up_level_sizes),
     }

@@ -574,21 +574,57 @@ def _batched_tree_tables(cds: CDSMatrix, toff: dict[int, int]):
     return tuple(up_levels), tuple(reversed(down_levels))
 
 
+def _stacked_panels(panels):
+    """Row panels grouped by shape ``(m, k)`` into stacked GEMM operands.
+
+    Every entry is ``(P, idx, rows)`` for the ``g`` panels of one shape,
+    in order of each shape's first panel: ``P`` is their ``g×m×k``
+    stack, ``idx`` the ``g×k`` operand rows (each panel's gather runs,
+    expanded) and ``rows`` the ``g·m`` output rows, so
+    ``out[rows] += np.matmul(P, src[idx]).reshape(-1, Q)`` runs every
+    panel of the group in one call. NumPy runs a stack as one BLAS call
+    per member, the same call as the member's 2-D product, so the
+    products keep their bits. Output rows must not overlap across panels
+    (a fancy-indexed ``+=`` would drop the repeats), and this is checked.
+    """
+    by_shape: dict[tuple[int, int], list] = {}
+    for panel, runs, _k, si, ei, _slices in panels:
+        by_shape.setdefault(panel.shape, []).append((panel, runs, si, ei))
+    stacks = []
+    for members in by_shape.values():
+        P = np.stack([panel for panel, _runs, _si, _ei in members])
+        idx = np.stack([
+            np.concatenate([np.arange(a, b) for a, b in runs])
+            for _panel, runs, _si, _ei in members
+        ])
+        rows = np.concatenate([
+            np.arange(si, ei) for _panel, _runs, si, ei in members
+        ])
+        stacks.append((P, idx, rows))
+    if stacks:
+        written = np.concatenate([rows for _P, _idx, rows in stacks])
+        if np.unique(written).size != written.size:
+            raise ValueError("row panels write overlapping output rows")
+    return tuple(stacks)
+
+
 def _batched_far_tables(cds: CDSMatrix, toff: dict[int, int]):
+    """Coupling-loop stacks: one row panel per output node, grouped by
+    shape (:func:`_stacked_panels`)."""
     srank = cds.factors.srank
     ranges = {v: (o, o + srank(v)) for v, o in toff.items()}
-    return _row_panel_tables(cds.far_visit_order(), ranges, cds.far_buf,
-                             cds.far_offset)
+    return _stacked_panels(_row_panel_tables(
+        cds.far_visit_order(), ranges, cds.far_buf, cds.far_offset))
 
 
 _BATCHED_SOURCE = '''\
 def {name}(W, Y, pool=None):
     """Generated batched HMatrix-matrix multiplication (tree order).
 
-    Lowering: near=super-row panels, coupling=row panels (2-D GEMMs),
-    tree=batched stacked GEMMs over the CDS shape buckets. The pool
-    argument is accepted for interface parity and ignored: the fat
-    kernels already saturate BLAS without task-level threading.
+    Lowering: near=super-row panels, coupling=stacked GEMMs over the
+    panel shapes, tree=batched stacked GEMMs over the CDS shape buckets.
+    The pool argument is accepted for interface parity and ignored: the
+    fat kernels already saturate BLAS without task-level threading.
     """
     Q = W.shape[1]
     if Q == 0:
@@ -597,30 +633,26 @@ def {name}(W, Y, pool=None):
     S = np.zeros((RANK_ROWS, Q))
     buf = np.empty((MAX_K, Q))
 
-    # Reduction loops: one row panel per row group. A single writer owns
-    # each output range, so the update is a plain slice add; a
-    # single-run gather is a view of the source, scattered gathers copy
-    # their few contiguous runs into the shared buffer once per panel.
-    # Wide products run one GEMM per panel, narrow ones one GEMM per
-    # leaf-row slice of it.
-    def _row_panels(panels, src, out, wide):
-        for panel, runs, k, si, ei, slices in panels:
-            if len(runs) == 1:
-                opnd = src[runs[0][0]:runs[0][1]]
-            else:
-                opnd = buf[:k]
-                o = 0
-                for a, b in runs:
-                    opnd[o:o + b - a] = src[a:b]
-                    o += b - a
-            if wide:
-                out[si:ei] += panel @ opnd
-            else:
-                for rows, a, b in slices:
-                    out[a:b] += rows @ opnd
-
-    # Near loop.
-    _row_panels(NEAR_PANELS, W, Y, Q >= WIDE_Q_MIN)
+    # Near loop: one row panel per super-row. A single writer owns each
+    # output range, so the update is a plain slice add; a single-run
+    # gather is a view of W, scattered gathers copy their few contiguous
+    # runs into the shared buffer once per panel. Wide products run one
+    # GEMM per panel, narrow ones one GEMM per leaf-row slice of it.
+    wide = Q >= WIDE_Q_MIN
+    for panel, runs, k, si, ei, slices in NEAR_PANELS:
+        if len(runs) == 1:
+            opnd = W[runs[0][0]:runs[0][1]]
+        else:
+            opnd = buf[:k]
+            o = 0
+            for a, b in runs:
+                opnd[o:o + b - a] = W[a:b]
+                o += b - a
+        if wide:
+            Y[si:ei] += panel @ opnd
+        else:
+            for rows, a, b in slices:
+                Y[a:b] += rows @ opnd
 
     # Upward pass: levels bottom-up; inside a level every bucket is one
     # stacked GEMM writing disjoint skeleton rows of T.
@@ -629,8 +661,10 @@ def {name}(W, Y, pool=None):
             src = W if from_w else T
             T[t_rows] = np.matmul(GT, src[gather]).reshape(-1, Q)
 
-    # Coupling loop, reducing into the S panel (one output node per panel).
-    _row_panels(FAR_PANELS, T, S, True)
+    # Coupling loop: one stacked GEMM per panel shape (one output node
+    # per panel, disjoint rows), reducing into the S panel.
+    for P, idx, rows in FAR_STACKS:
+        S[rows] += np.matmul(P, T[idx]).reshape(-1, Q)
 
     # Downward pass: levels top-down; leaf buckets scatter into Y rows,
     # interior buckets into the children's S rows (disjoint per level).
@@ -676,17 +710,13 @@ def generate_batched_evaluator(
     toff, rank_rows = _rank_offsets(cds)
     up_levels, down_levels = _batched_tree_tables(cds, toff)
     near_panels = _batched_near_tables(cds)
-    far_panels = _batched_far_tables(cds, toff)
-    max_k = max(
-        (e[2] for e in near_panels + far_panels if len(e[1]) > 1),
-        default=1,
-    )
+    max_k = max((e[2] for e in near_panels if len(e[1]) > 1), default=1)
     env = {
         "np": np,
         "RANK_ROWS": rank_rows,
         "MAX_K": max(max_k, 1),
         "NEAR_PANELS": near_panels,
-        "FAR_PANELS": far_panels,
+        "FAR_STACKS": _batched_far_tables(cds, toff),
         "WIDE_Q_MIN": WIDE_Q_MIN,
         "UP_LEVELS": up_levels,
         "DOWN_LEVELS": down_levels,

@@ -51,6 +51,7 @@ from repro.codegen.emit import (
     _batched_tree_tables,
     _rank_offsets,
     _row_panel_tables,
+    _stacked_panels,
     _super_rows,
 )
 from repro.observability.faults import active_fault_plan
@@ -162,9 +163,11 @@ class _ShardPlan:
 class _ShardState:
     """A worker's compiled tables: built once, applied every phase.
 
-    Mirrors the serial batched engine exactly: row panels via
+    Mirrors the serial batched engine exactly: near row panels via
     :func:`repro.codegen.emit._row_panel_tables` (same super-rows, same
-    padding/run merging), leaf buckets as stacked GEMMs grouped by shape.
+    padding/run merging), the shard's coupling panels as same-shape
+    stacks via :func:`repro.codegen.emit._stacked_panels`, leaf buckets
+    as stacked GEMMs grouped by shape.
     """
 
     def __init__(self, plan: _ShardPlan, basis_buf: np.ndarray,
@@ -174,14 +177,11 @@ class _ShardState:
             plan.near_pairs, plan.point_rows, near_buf, plan.near_off,
             groups=plan.near_groups,
         ) if plan.near_pairs else ()
-        self.far_panels = _row_panel_tables(
+        self.far_stacks = _stacked_panels(_row_panel_tables(
             plan.far_pairs, plan.skel_rows, far_buf, plan.far_off,
-        ) if plan.far_pairs else ()
-        max_k = max(
-            (e[2] for e in self.near_panels + self.far_panels
-             if len(e[1]) > 1),
-            default=1,
-        )
+        )) if plan.far_pairs else ()
+        max_k = max((e[2] for e in self.near_panels if len(e[1]) > 1),
+                    default=1)
         self._gather_buf = np.empty((max_k, plan.q_cap))
 
         # Leaf basis buckets: group this shard's leaves by generator shape
@@ -209,33 +209,30 @@ class _ShardState:
             )
 
     # ------------------------------------------------------------- phases
-    def _apply_row_panels(self, panels, src, out, wide):
-        # Same loop as the generated batched code's ``_row_panels``.
-        buf = self._gather_buf
-        for panel, runs, k, si, ei, slices in panels:
-            if len(runs) == 1:
-                opnd = src[runs[0][0]:runs[0][1]]
-            else:
-                opnd = buf[:k, :src.shape[1]]
-                o = 0
-                for a, b in runs:
-                    opnd[o:o + b - a] = src[a:b]
-                    o += b - a
-            if wide:
-                out[si:ei] += panel @ opnd
-            else:
-                for rows, a, b in slices:
-                    out[a:b] += rows @ opnd
-
     def run_phase(self, phase: int, W, Y, T, S) -> None:
         q = W.shape[1]
         if phase == _PHASE_NEAR_AND_LEAF_UP:
-            self._apply_row_panels(self.near_panels, W, Y,
-                                   q >= WIDE_Q_MIN)
+            # Same loop as the generated batched code's near loop.
+            buf = self._gather_buf
+            for panel, runs, k, si, ei, slices in self.near_panels:
+                if len(runs) == 1:
+                    opnd = W[runs[0][0]:runs[0][1]]
+                else:
+                    opnd = buf[:k, :q]
+                    o = 0
+                    for a, b in runs:
+                        opnd[o:o + b - a] = W[a:b]
+                        o += b - a
+                if q >= WIDE_Q_MIN:
+                    Y[si:ei] += panel @ opnd
+                else:
+                    for rows, a, b in slices:
+                        Y[a:b] += rows @ opnd
             for _G, GT, gather, own, _own2d in self.leaf_buckets:
                 T[own] = np.matmul(GT, W[gather]).reshape(-1, q)
         elif phase == _PHASE_FAR:
-            self._apply_row_panels(self.far_panels, T, S, True)
+            for P, idx, rows in self.far_stacks:
+                S[rows] += np.matmul(P, T[idx]).reshape(-1, q)
         elif phase == _PHASE_LEAF_DOWN:
             for G, _GT, gather, _own, own2d in self.leaf_buckets:
                 Y[gather.ravel()] += np.matmul(G, S[own2d]).reshape(-1, q)

@@ -96,11 +96,18 @@ class KernelRidgeRegression:
         return self
 
     def predict(self, X_new) -> np.ndarray:
-        """``K(X_new, X_train) @ alpha`` (exact rectangular kernel block)."""
+        """``K(X_new, X_train) @ alpha`` (exact rectangular kernel block).
+
+        The kernel's regulariser (:attr:`Kernel.diagonal_shift`) is jitter
+        on the training system, so a prediction never adds it, whether
+        ``X_new`` is the array passed to :meth:`fit` or a copy of it.
+        """
         if self.alpha_ is None:
             raise RuntimeError("fit() must be called before predict()")
         X_new = check_points(X_new, name="X_new")
-        return self.kernel.block(X_new, self.X_) @ self.alpha_
+        # block() adds the regulariser only when both arguments are the
+        # same array object; a fresh view of the training points never is.
+        return self.kernel.block(X_new, self.X_.view()) @ self.alpha_
 
     def training_residual(self, y) -> float:
         """``||(K~ + lam I) alpha - y|| / ||y||`` on the training set."""

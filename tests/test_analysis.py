@@ -119,6 +119,18 @@ class TestBlocking:
                             kind="near", interactions=[])
         assert bs.num_blocks == 0
 
+    @pytest.mark.parametrize("blocksize", [1, 2, 4])
+    def test_one_node_tree_keeps_the_root_self_pair(self, blocksize):
+        """N at most the leaf size: the root is the only node and its self
+        pair the only near block (the batched tables and the process
+        engine read the blockset, so dropping it zeroed their product)."""
+        points = np.random.default_rng(3).random((10, 2))
+        res = compress(points, "gaussian", structure="h2-geometric",
+                       leaf_size=16, seed=0)
+        assert res.tree.num_nodes == 1
+        bs = build_blockset(res.htree, blocksize=blocksize, kind="near")
+        assert bs.all_interactions() == [(0, 0)] == res.htree.near_pairs()
+
 
 class TestCoarsening:
     def test_heights(self, points_2d):

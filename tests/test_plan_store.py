@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 
 from repro import PlanConfig, PlanStore, PlanStoreError, Session
+from repro.api.session import points_fingerprint
 from repro.api.store import registered_tiers
+from repro.kernels import GaussianKernel
 
 PLAN = PlanConfig(leaf_size=32, bacc=1e-6, p=4, seed=0)
 
@@ -285,6 +287,56 @@ class TestSessionWarmStart:
             session.inspect(points_2d, kernel=gaussian_kernel)
         assert session.store.stats.memory_hits == 1
         assert session.store.stats.disk_hits == 0  # preloaded by warm()
+
+
+class TestRegularisedPlanKeys:
+    """Near diagonal blocks carry a kernel's regulariser
+    (``Kernel.diagonal_shift``). Plans stored before they did were keyed
+    by points, plan and kernel identity alone; a regularised kernel's key
+    now also carries ``NEAR_SHIFT_TAG``, so such a plan is a clean miss
+    that is rebuilt, while other kernels keep their keys."""
+
+    PLAN = PlanConfig(structure="h2-geometric", leaf_size=32, bacc=1e-7)
+    POINTS = np.random.default_rng(0).random((300, 2))
+
+    def _put_under_old_key(self, root, kernel, H):
+        key = (points_fingerprint(self.POINTS), self.PLAN.fingerprint(),
+               kernel.identity())
+        PlanStore(root).put_hmatrix(key, H)
+
+    def _rel_err(self, H, kernel):
+        W = np.random.default_rng(1).random((len(self.POINTS), 4))
+        ref = kernel.matrix(self.POINTS) @ W
+        return np.linalg.norm(H.matmul(W) - ref) / np.linalg.norm(ref)
+
+    def test_regularised_plan_under_old_key_is_rebuilt(self, tmp_path):
+        kernel = GaussianKernel(bandwidth=0.5, regularization=0.5)
+        # What a store written before the convention holds: near blocks
+        # without the regulariser, as for the plain kernel.
+        stale = self.PLAN.to_inspector().run(self.POINTS,
+                                             GaussianKernel(bandwidth=0.5))
+        assert self._rel_err(stale, kernel) > 1e-3
+        self._put_under_old_key(tmp_path, kernel, stale)
+        with Session(plan=self.PLAN, store=PlanStore(tmp_path)) as session:
+            H = session.inspect(self.POINTS, kernel=kernel)
+        assert session.stats.hmatrix_hits == 0
+        assert session.stats.p2_builds == 1
+        assert self._rel_err(H, kernel) < 1e-8
+        with Session(plan=self.PLAN, store=PlanStore(tmp_path)) as warm:
+            warm.inspect(self.POINTS, kernel=kernel)
+        assert warm.stats.hmatrix_hits == 1 and warm.stats.p2_builds == 0
+
+    def test_plain_kernel_keeps_its_key(self, tmp_path):
+        kernel = GaussianKernel(bandwidth=0.5)
+        H_put = self.PLAN.to_inspector().run(self.POINTS, kernel)
+        self._put_under_old_key(tmp_path, kernel, H_put)
+        with Session(plan=self.PLAN, store=PlanStore(tmp_path)) as session:
+            H = session.inspect(self.POINTS, kernel=kernel)
+        assert session.stats.hmatrix_hits == 1
+        assert session.stats.p1_builds == session.stats.p2_builds == 0
+        assert session.store.stats.disk_hits == 1
+        W = np.random.default_rng(2).random((len(self.POINTS), 3))
+        np.testing.assert_array_equal(H.matmul(W), H_put.matmul(W))
 
 
 class TestThreadSafety:

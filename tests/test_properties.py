@@ -6,10 +6,14 @@ paper's correctness rests on.
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import ProcessEngine, inspector
 from repro.analysis import build_blockset, build_coarsenset
+from repro.codegen.compiled import build_artifact, evaluator_from_artifact
+from repro.codegen.emit import generate_batched_evaluator
 from repro.compression import compress
 from repro.core.evaluation import evaluate_reference
 from repro.htree import build_htree
@@ -25,6 +29,22 @@ SLOW = settings(
 
 def rand_points(seed: int, n: int, d: int) -> np.ndarray:
     return np.random.default_rng(seed).random((n, d))
+
+
+def degenerate_points(kind: str, seed: int) -> np.ndarray:
+    """Point sets off the well-spread path: repeated points, fewer points
+    than a leaf holds, one dimension, tight clusters far apart."""
+    g = np.random.default_rng(seed)
+    if kind == "coincident":
+        return np.repeat(g.random((int(g.integers(2, 8)), 2)),
+                         int(g.integers(10, 40)), axis=0)
+    if kind == "below_leaf":
+        return g.random((int(g.integers(2, 16)), 2))
+    if kind == "d1":
+        return g.random((int(g.integers(40, 250)), 1))
+    centers = g.random((int(g.integers(2, 6)), 3)) * 10
+    return np.concatenate([c + 1e-3 * g.standard_normal((50, 3))
+                           for c in centers])
 
 
 class TestHTreeProperties:
@@ -134,3 +154,27 @@ class TestEvaluationProperties:
         Wt = W[H.tree.perm]
         np.testing.assert_allclose(
             H.evaluator(Wt), evaluate_reference(H.factors, Wt), atol=1e-9)
+
+
+class TestEngineProperties:
+    @pytest.mark.parametrize("kind", ["uniform", "coincident", "below_leaf",
+                                      "d1", "clustered"])
+    @given(seed=st.integers(0, 50), q=st.integers(1, 8))
+    @settings(SLOW, max_examples=6)
+    def test_engines_agree_on_degenerate_inputs(self, kind, seed, q):
+        """Batched (stacked coupling loop included), compiled and the
+        process engine return the same bytes, and the per-block code agrees
+        to rounding, whatever the point set looks like."""
+        pts = (rand_points(seed, 200, 2) if kind == "uniform"
+               else degenerate_points(kind, seed))
+        H = inspector(pts, kernel=GaussianKernel(0.5),
+                      structure="h2-geometric", leaf_size=16, bacc=1e-6)
+        batched = generate_batched_evaluator(H.cds)
+        compiled = evaluator_from_artifact(build_artifact(H.cds), batched)
+        W = np.random.default_rng(seed + 1).standard_normal((len(pts), q))
+        Y = batched(W)
+        assert compiled(W).tobytes() == Y.tobytes()
+        with ProcessEngine(H, num_workers=2) as eng:
+            assert eng.matmul(W, order="tree").tobytes() == Y.tobytes()
+        Y_block = H.evaluator(W)
+        assert np.linalg.norm(Y - Y_block) <= 1e-12 * np.linalg.norm(Y_block)

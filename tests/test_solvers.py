@@ -100,6 +100,27 @@ class TestKernelRidgeRegression:
         # Ridge smoothing: predictions close to targets, not exact.
         assert np.corrcoef(pred, y)[0, 1] > 0.99
 
+    @pytest.mark.parametrize("regularization", [0.0, 0.5])
+    def test_predict_never_adds_the_regulariser(self, regularization):
+        """The regulariser is jitter on the training system: predicting on
+        the array passed to fit and on a copy of it agree (they differed by
+        up to 0.13 at regularization 0.5), and at regularization 0 the
+        predictions are the exact kernel block's."""
+        X = np.random.default_rng(21).random((300, 2))
+        y = np.sin(4 * X[:, 0])
+        kernel = GaussianKernel(0.5, regularization=regularization)
+        model = KernelRidgeRegression(kernel=kernel, lam=1e-3,
+                                      structure="h2-geometric",
+                                      leaf_size=32).fit(X, y)
+        same, copy = model.predict(X), model.predict(X.copy())
+        np.testing.assert_allclose(same, copy, rtol=0, atol=1e-12)
+        plain = GaussianKernel(0.5)
+        np.testing.assert_allclose(
+            same, plain.block(X, X) @ model.alpha_, rtol=0, atol=1e-12)
+        if regularization == 0.0:
+            np.testing.assert_array_equal(
+                copy, kernel.block(X.copy(), X) @ model.alpha_)
+
     def test_generalization_on_new_points(self, rng):
         X = rng.random((500, 1))
         y = np.sin(6 * X[:, 0])
