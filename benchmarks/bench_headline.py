@@ -53,6 +53,11 @@ def test_headline_batched_executor_wallclock(benchmark):
     across serial / threaded / batched / process-sharded paths) and >= 2x
     wall-clock on the default dataset at Q=64 (threshold relaxed in
     MATROX_BENCH_QUICK smoke runs — the numbers are still recorded).
+
+    Also records a dense reference: ``dense_s`` times ``K @ W`` with the
+    assembled kernel matrix (same N, Q and host), and ``gflops_share`` is
+    the batched product's flop rate (:meth:`HMatrix.evaluation_flops`
+    over ``batched_s``) as a share of the dense product's.
     """
     n = bench_n_of(WALLCLOCK_DATASET)
     points = load_dataset(WALLCLOCK_DATASET, n=n, seed=0)
@@ -81,6 +86,13 @@ def test_headline_batched_executor_wallclock(benchmark):
      t_serial, t_batched, t_process) = benchmark.pedantic(
         run, rounds=1, iterations=1)
 
+    K = get_kernel("gaussian", bandwidth=GAUSS_BW).block(points, points)
+    dense_s = best_seconds(lambda: K @ W)
+    del K
+    batched_gflops = H.evaluation_flops(WALLCLOCK_Q) / t_batched / 1e9
+    dense_gflops = 2.0 * n * n * WALLCLOCK_Q / dense_s / 1e9
+    gflops_share = batched_gflops / dense_gflops
+
     scale = np.linalg.norm(y_serial)
     err_batched = np.linalg.norm(y_batched - y_serial) / scale
     err_threaded = np.linalg.norm(y_threaded - y_serial) / scale
@@ -99,6 +111,9 @@ def test_headline_batched_executor_wallclock(benchmark):
              fmt(speedup_process), f"{err_process:.2e}"],
         ],
     )
+    print(f"dense K @ W at Q={WALLCLOCK_Q}: {fmt(dense_s * 1e3)} ms, "
+          f"{fmt(dense_gflops)} GFLOP/s; batched runs at "
+          f"{fmt(batched_gflops)} GFLOP/s ({gflops_share:.0%})")
     save_results("headline_batched", {
         "dataset": WALLCLOCK_DATASET, "n": n, "q": WALLCLOCK_Q,
         "serial_s": t_serial, "batched_s": t_batched, "speedup": speedup,
@@ -106,6 +121,7 @@ def test_headline_batched_executor_wallclock(benchmark):
         "speedup_process": speedup_process, "cpu_count": os.cpu_count(),
         "err_batched": err_batched, "err_threaded": err_threaded,
         "err_process": err_process,
+        "dense_s": dense_s, "gflops_share": gflops_share,
     })
 
     assert err_batched < 1e-12

@@ -131,50 +131,17 @@ def check_file(path: Path) -> list[str]:
             problems.append(
                 f"{path.name}: {retunes} re-tune(s) after a PlanStore "
                 f"reopen (gate: warm start re-tunes nothing)")
-    # Semantic gates for the compiled-executor artifact (ISSUE 8):
-    # (a) the fused driver must be byte-identical to order="batched" at
-    # every swept width and (b) a fresh cache over the same PlanStore
-    # must recompile nothing — both algorithmic claims, enforced
-    # unconditionally. (c) The >= 2x speedup at Q=1 is a wall-clock
-    # claim, so it keys off the artifact's own gate_eligible flag
-    # (false for scaled-down quick-mode runs, mirroring fig7's
-    # cpu_count exemption).
-    if path.name == "compiled.json" and isinstance(payload, dict):
-        bit = payload.get("bit_identical")
-        if bit is None:
-            problems.append(f"{path.name}: missing bit_identical field")
-        elif not bit:
-            problems.append(
-                f"{path.name}: compiled output diverged from "
-                f"order='batched' (gate: byte-identical)")
-        recompiles = payload.get("warm_recompiles")
-        if recompiles is None:
-            problems.append(f"{path.name}: missing warm_recompiles field")
-        elif recompiles != 0:
-            problems.append(
-                f"{path.name}: {recompiles} recompile(s) after a "
-                f"PlanStore reopen (gate: warm start compiles nothing)")
-        # (d) The widest row carries the dense K @ W reference that
-        # reads the batched product's flop rate against the host's GEMM.
-        shapes = payload.get("shapes") or {}
-        if shapes:
-            wide = shapes[max(shapes, key=int)]
-            for field in ("dense_s", "gflops_share"):
-                value = wide.get(field)
-                if not isinstance(value, (int, float)) or isinstance(
-                        value, bool) or not math.isfinite(value) or value <= 0:
-                    problems.append(
-                        f"{path.name}: widest row needs a finite, positive "
-                        f"{field}, got {value!r}")
-        if payload.get("gate_eligible"):
-            speedup = payload.get("speedup_q1")
-            if speedup is None:
+    # Semantic gate for the headline batched artifact: it carries the
+    # dense K @ W reference (same N and Q) that reads the batched
+    # product's flop rate against the host's GEMM.
+    if path.name == "headline_batched.json" and isinstance(payload, dict):
+        for field in ("dense_s", "gflops_share"):
+            value = payload.get(field)
+            if not isinstance(value, (int, float)) or isinstance(
+                    value, bool) or not math.isfinite(value) or value <= 0:
                 problems.append(
-                    f"{path.name}: gate_eligible but missing speedup_q1")
-            elif speedup < 2.0:
-                problems.append(
-                    f"{path.name}: compiled only {speedup:.2f}x batched "
-                    f"at Q=1 (gate: >= 2x on eligible runs)")
+                    f"{path.name}: needs a finite, positive {field}, "
+                    f"got {value!r}")
     # Semantic gates for the network-serving artifact (repro.net): the
     # HTTP front-end must not drop requests under concurrent mixed-tenant
     # load (auth/quota/audit are per-request code paths — one failure

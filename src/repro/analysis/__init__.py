@@ -9,12 +9,10 @@ and the CDS data layout.
 The *correctness analysis* side (DESIGN.md §13) proves invariants the
 tests can only sample: project-aware AST lint rules (:mod:`.lint`), the
 shared-memory race certifier over ProcessEngine traces (:mod:`.races`),
-the emitted-kernel write-set verifier that gates compiled artifacts
-before execution (:mod:`.codegen_check`), and the thread-tier
-concurrency certifier (DESIGN.md §14): static lock-order analysis
-(:mod:`.lockorder`), the vector-clock happens-before checker over
-recorded sync traces (:mod:`.happens_before`), and the DPOR-lite
-schedule explorer (:mod:`.explore`). All are wired into the ``repro
+and the thread-tier concurrency certifier (DESIGN.md §14): static
+lock-order analysis (:mod:`.lockorder`), the vector-clock happens-before
+checker over recorded sync traces (:mod:`.happens_before`), and the
+DPOR-lite schedule explorer (:mod:`.explore`). All are wired into the ``repro
 analyze`` CLI verb; their outcome counters (:mod:`.counters`) surface in
 ``repro stats`` and the run manifest.
 """
@@ -22,11 +20,6 @@ analyze`` CLI verb; their outcome counters (:mod:`.counters`) surface in
 from repro.analysis.binpack import first_fit_binpack
 from repro.analysis.blocking import build_blockset
 from repro.analysis.coarsening import build_coarsenset
-from repro.analysis.codegen_check import (
-    AnalysisError,
-    verify_artifact,
-    verify_artifact_file,
-)
 from repro.analysis.cost_model import node_cost, subtree_cost
 from repro.analysis.explore import (
     ScenarioSuite,
@@ -82,7 +75,6 @@ __all__ = [
     "CoarsenLevel",
     "SubTree",
     # correctness analysis (DESIGN.md §13)
-    "AnalysisError",
     "Finding",
     "HBViolation",
     "LOCK_RULES",
@@ -112,6 +104,4 @@ __all__ = [
     "seed_overlap_violation",
     "seed_unordered_pair",
     "trace_from_plans",
-    "verify_artifact",
-    "verify_artifact_file",
 ]

@@ -1,11 +1,11 @@
 """Process-global counters for the analysis layer (DESIGN.md §13).
 
-Every analysis pass that runs in-process — the write-set verifier
-guarding compiled-artifact loads, the race certifier replaying engine
-traces — increments a named counter here. :func:`analysis_counters`
-surfaces the snapshot through ``collect_stats()["analysis"]`` and the
-run manifest's ``stats.analysis`` section, so a manifest records not
-just *what* a run did but *what was proven about it*.
+Every analysis pass that runs in-process — the race certifier replaying
+engine traces, the lock-order and happens-before certifiers — increments
+a named counter here. :func:`analysis_counters` surfaces the snapshot
+through ``collect_stats()["analysis"]`` and the run manifest's
+``stats.analysis`` section, so a manifest records not just *what* a run
+did but *what was proven about it*.
 
 Counter values are monotone within a process and deterministic for a
 deterministic workload (nothing here samples a clock), which keeps the
@@ -22,8 +22,6 @@ __all__ = ["analysis_counters", "bump_analysis_counter",
 #: The fixed counter vocabulary. A typo'd name must fail loudly rather
 #: than mint a new counter nobody aggregates.
 _NAMES = (
-    "writeset_verified",   # compiled artifacts proven safe before exec
-    "writeset_rejected",   # compiled artifacts refused (degrade to batched)
     "races_certified",     # engine traces certified race-free
     "races_flagged",       # engine traces with unordered conflicting writes
     "lint_findings",       # unwaived lint findings reported by `repro analyze`

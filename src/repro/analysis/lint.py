@@ -71,7 +71,7 @@ R003_PATH_MARKERS = ("store", "service", "session", "serve", "net/",
 
 #: Path markers scoping R004 to manifest/fingerprint/artifact code.
 R004_PATH_MARKERS = ("manifest", "fingerprint", "artifact", "store",
-                     "profile", "compiled", "api/plan")
+                     "profile", "api/plan")
 
 #: Attribute references that read a wall clock (flagged by R004 whether
 #: called directly or smuggled as a ``default_factory=``).

@@ -3,9 +3,8 @@
 An AST pass over ``src/repro`` that resolves every ``with <lock>:`` /
 ``lock.acquire()`` site — including locks reached *interprocedurally*
 (``KernelService._execute`` holds the session lock while
-``Session.inspect`` walks into ``PlanStore``; the compiled cache holds
-its RLock across a store round-trip; autotune nests a per-key lock over
-the store) — and builds the **lock-acquisition graph**: an edge
+``Session.inspect`` walks into ``PlanStore``; autotune nests a per-key
+lock over the store) — and builds the **lock-acquisition graph**: an edge
 ``A -> B`` means some execution path acquires ``B`` while holding ``A``.
 A cycle in that graph is a potential deadlock (two threads taking the
 cycle's locks in opposite orders can block forever); an acyclic graph

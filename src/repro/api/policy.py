@@ -35,13 +35,10 @@ from dataclasses import dataclass, replace
 DEFAULT_Q_CHUNK = 256
 
 #: The evaluation orders an :class:`ExecutionPolicy` may request.
-#: ``"compiled"`` runs the fused compiled executor
-#: (:mod:`repro.codegen.compiled`), degrading to ``"batched"`` when no
-#: compiled evaluator is available for the operator/host.
 #: ``"auto"`` defers the choice to the profile-guided autotuner
 #: (:mod:`repro.tuning`): it resolves to one of the concrete orders (and a
 #: backend/thread/worker/q_chunk setting) before any evaluator runs.
-VALID_ORDERS = ("batched", "compiled", "original", "tree", "auto")
+VALID_ORDERS = ("batched", "original", "tree", "auto")
 
 #: The execution backends an :class:`ExecutionPolicy` may request.
 VALID_BACKENDS = ("thread", "process")
@@ -85,11 +82,9 @@ class ExecutionPolicy:
     order:
         ``"batched"`` (default) evaluates through the bucketed batched-GEMM
         engine, falling back to the per-block code when the cost model
-        rejected batch lowering; ``"compiled"`` runs the fused compiled
-        executor (bit-identical to ``"batched"``; degrades to it when no
-        compiled evaluator is available); ``"original"`` forces the
-        per-block code; all three treat W rows as being in the user's
-        input point order.
+        rejected batch lowering; ``"original"`` forces the per-block
+        code; both treat W rows as being in the user's input point
+        order.
         ``"tree"`` skips the permutations (internal/benchmark use).
         ``"auto"`` resolves through the profile-guided autotuner
         (:mod:`repro.tuning`) at evaluation time: a

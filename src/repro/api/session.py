@@ -264,24 +264,24 @@ class Session:
         h_key = (pfp, plan.fingerprint(), kernel.identity())
         if kernel.diagonal_shift:
             h_key += (NEAR_SHIFT_TAG,)
-        H = self.store.get_hmatrix(h_key)
+        H = self.store.get("hmatrix", h_key)
         if H is not None:
             self.stats.hmatrix_hits += 1
             return H
 
         p1_key = (pfp, plan.p1_fingerprint())
         inspector = plan.to_inspector()
-        p1 = self.store.get_p1(p1_key)
+        p1 = self.store.get("p1", p1_key)
         if p1 is None:
             p1 = inspector.run_p1(points)
-            self.store.put_p1(p1_key, p1)
+            self.store.put("p1", p1_key, p1)
             self.stats.p1_builds += 1
         else:
             self.stats.p1_hits += 1
 
         H = inspector.run_p2(p1, kernel)
         self.stats.p2_builds += 1
-        self.store.put_hmatrix(h_key, H)
+        self.store.put("hmatrix", h_key, H)
         return H
 
     def operator(self, points, kernel: Kernel | str = "gaussian",
@@ -339,7 +339,6 @@ class Session:
         """Occupancy + hit counters (session + store + tuner + engines)."""
         return {**self.store.cache_info(), **self.stats.as_dict(),
                 "autotune": self._executor.autotune_stats(),
-                "compiled": self._executor.compiled_stats(),
                 "engines": self._executor.engine_stats()}
 
     @property

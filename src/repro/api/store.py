@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import importlib
 import io
 import json
 import os
@@ -90,8 +89,7 @@ class ArtifactTier:
     objects to their dict wire form).
 
     New tiers plug in via :func:`register_tier` — no edits to this
-    module or :mod:`repro.core.io` required; the compiled-executor tier
-    (:mod:`repro.codegen.compiled`) registers itself this way.
+    module or :mod:`repro.core.io` required.
     """
 
     name: str
@@ -110,11 +108,6 @@ def _prepare_profile(profile: Any) -> Any:
 #: modules add their own via register_tier().
 _TIER_REGISTRY: dict[str, ArtifactTier] = {}
 
-#: Tiers whose owning module registers them on import: looked up lazily
-#: so a store can warm()/get() such artifacts without the caller having
-#: imported the owner first.
-_TIER_AUTOLOAD = {"compiled": "repro.codegen.compiled"}
-
 
 def register_tier(tier: ArtifactTier) -> ArtifactTier:
     """Register (or replace) an artifact tier; returns it for chaining."""
@@ -125,21 +118,22 @@ def register_tier(tier: ArtifactTier) -> ArtifactTier:
 
 
 def registered_tiers() -> tuple[str, ...]:
-    """Names of every registered tier (autoloadable ones included)."""
-    for name in _TIER_AUTOLOAD:
-        _lookup_tier(name)
+    """Names of every registered tier."""
     return tuple(sorted(_TIER_REGISTRY))
 
 
 def _lookup_tier(name: str) -> ArtifactTier | None:
-    tier = _TIER_REGISTRY.get(name)
-    if tier is None and name in _TIER_AUTOLOAD:
-        try:
-            importlib.import_module(_TIER_AUTOLOAD[name])
-        except ImportError:  # pragma: no cover - owner module broken
-            return None
-        tier = _TIER_REGISTRY.get(name)
-    return tier
+    return _TIER_REGISTRY.get(name)
+
+
+def _readable_here(manifest: Any) -> bool:
+    """True when this build reads a manifest's entry: the current store
+    version and a registered tier."""
+    if not isinstance(manifest, dict):
+        return False
+    tier = manifest.get("tier")
+    return (STORE_VERSION == manifest.get("store_version")
+            and isinstance(tier, str) and _lookup_tier(tier) is not None)
 
 
 def _tier(name: str) -> ArtifactTier:
@@ -227,7 +221,7 @@ class PlanStore:
     memory_p1 / memory_hmatrix:
         Capacities of the two in-memory LRU tiers.
 
-    ``get_*`` returns ``None`` on a miss, the artifact on a hit, and
+    :meth:`get` returns ``None`` on a miss, the artifact on a hit, and
     raises :class:`PlanStoreError` on a hit whose bytes fail verification
     (fail closed — a corrupt store never silently rebuilds or serves).
     """
@@ -243,9 +237,9 @@ class PlanStore:
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
         self.max_bytes = max_bytes
-        # Per-tier LRU capacity overrides. The legacy keyword names cover
-        # the built-in tiers; ``memory_entries={"compiled": 4, ...}``
-        # covers any registered tier. LRUs themselves are created lazily
+        # Per-tier LRU capacity overrides. The keyword names cover the
+        # built-in tiers; ``memory_entries={"<tier>": 4, ...}`` covers
+        # any registered tier. LRUs themselves are created lazily
         # (_mem_for), so tiers registered *after* this store was built
         # still get a memory front.
         self._mem_capacity: dict[str, int] = {
@@ -340,33 +334,6 @@ class PlanStore:
         if tier_desc.prepare is not None:
             value = tier_desc.prepare(value)
         return self._put(tier, key, value)
-
-    # Legacy per-tier helpers. Deprecated: use the generic
-    # get(tier, key) / put(tier, key, value) registry API instead; these
-    # remain as thin shims for callers written against the PR-4 surface.
-    def get_p1(self, key: Any) -> Any:
-        """Deprecated shim for ``get("p1", key)``."""
-        return self.get("p1", key)
-
-    def put_p1(self, key: Any, p1: Any) -> str:
-        """Deprecated shim for ``put("p1", key, p1)``."""
-        return self.put("p1", key, p1)
-
-    def get_hmatrix(self, key: Any) -> Any:
-        """Deprecated shim for ``get("hmatrix", key)``."""
-        return self.get("hmatrix", key)
-
-    def put_hmatrix(self, key: Any, H: Any) -> str:
-        """Deprecated shim for ``put("hmatrix", key, H)``."""
-        return self.put("hmatrix", key, H)
-
-    def get_profile(self, key: Any) -> Any:
-        """Deprecated shim for ``get("profile", key)``."""
-        return self.get("profile", key)
-
-    def put_profile(self, key: Any, profile: Any) -> str:
-        """Deprecated shim for ``put("profile", key, profile)``."""
-        return self.put("profile", key, profile)
 
     # ------------------------------------------------------------- get / put
     def _get(self, tier: str, key: Any) -> Any:
@@ -674,9 +641,10 @@ class PlanStore:
         * artifacts not *used* (manifest mtime — touched on every get)
           within the last ``max_age`` seconds (``None`` disables age
           eviction);
-        * artifacts written by a different store-layout version (this
-          build cannot read them; pass ``keep_other_versions=True`` to
-          preserve them for the build that can);
+        * artifacts written by a different store-layout version, or of
+          a tier this build does not register (this build cannot read
+          them; pass ``keep_other_versions=True`` to preserve them for
+          the build that can);
         * unreadable manifests, and orphaned payloads whose manifest is
           gone (both are unserveable debris — orphans get the same
           conservative 1-hour grace as temp files, so a concurrent
@@ -711,17 +679,17 @@ class PlanStore:
                     size += payload_path.stat().st_size
                 try:
                     manifest = json.loads(manifest_path.read_text())
-                    version = (manifest.get("store_version")
-                               if isinstance(manifest, dict) else None)
                     readable = True
                 except (OSError, UnicodeDecodeError, json.JSONDecodeError):
-                    version, readable = None, False
+                    manifest, readable = None, False
                 # Unreadable debris is always collected; otherwise keep
-                # version-skewed entries on request and current entries
+                # entries only another build can read (version skew, an
+                # unregistered tier) on request and current entries
                 # within the age window.
+                current = _readable_here(manifest)
                 keep = readable and (
-                    (version != STORE_VERSION and keep_other_versions)
-                    or (version == STORE_VERSION
+                    (not current and keep_other_versions)
+                    or (current
                         and (max_age is None
                              or now - stat.st_mtime <= max_age)))
                 if keep:

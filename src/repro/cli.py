@@ -494,12 +494,10 @@ def cmd_stats(args) -> int:
 
 def cmd_analyze(args) -> int:
     from repro.analysis import (
-        AnalysisError,
         bump_analysis_counter,
         certify_trace_dir,
         findings_to_doc,
         lint_paths,
-        verify_artifact_file,
     )
     from repro.observability.manifest import canonical_json
 
@@ -533,17 +531,6 @@ def cmd_analyze(args) -> int:
         failures += race_count
         print(f"analyze: {len(results)} engine trace(s) certified, "
               f"{race_count} race(s)")
-    if args.artifact:
-        try:
-            verify_artifact_file(args.artifact)
-            artifact_ok = True
-            print(f"analyze: {args.artifact}: write sets verified")
-        except AnalysisError as exc:
-            artifact_ok = False
-            print(f"analyze: {args.artifact}: {exc}", file=sys.stderr)
-            failures += 1
-        extra["artifact"] = {"path": str(args.artifact),
-                             "verified": artifact_ok}
 
     if args.threads:
         from repro.analysis import analyze_lock_order
@@ -865,6 +852,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "manifest is older than this many seconds")
     p.add_argument("--keep-other-versions", action="store_true",
                    help="keep artifacts written by other store versions "
+                        "or of tiers this build does not register "
                         "(default: evict them)")
     p.add_argument("--dry-run", action="store_true",
                    help="report what would be removed without removing it")
@@ -873,21 +861,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "analyze",
         help="project static analysis: lint rules R001-R004, race "
-             "certification, compiled write-set verification, "
-             "concurrency certification (C001, happens-before, "
-             "schedule exploration)")
+             "certification, concurrency certification (C001, "
+             "happens-before, schedule exploration)")
     p.add_argument("paths", nargs="*",
                    help="files/directories to lint (default: src/repro)")
     p.add_argument("--strict", action="store_true",
                    help="exit 1 on any unwaived finding, race, lock-order "
-                        "cycle, happens-before violation, schedule "
-                        "failure, or rejected artifact")
+                        "cycle, happens-before violation, or schedule "
+                        "failure")
     p.add_argument("--json", default=None,
                    help="write the machine-readable findings JSON here")
     p.add_argument("--races", default=None, metavar="DIR",
                    help="certify every engine access trace (*.json) in DIR")
-    p.add_argument("--artifact", default=None, metavar="NPZ",
-                   help="verify a compiled artifact's write sets")
     p.add_argument("--threads", action="store_true",
                    help="build + certify the static lock-acquisition "
                         "graph (rule C001: acyclic)")

@@ -37,7 +37,6 @@ from repro.core.hmatrix import HMatrix
 
 if TYPE_CHECKING:  # annotation-only: the real imports stay lazy
     from repro.api.store import PlanStore
-    from repro.codegen.compiled import CompiledCache
     from repro.tuning.autotune import Autotuner
 
 __all__ = ["Executor", "matmul", "matmul_many", "DEFAULT_Q_CHUNK"]
@@ -101,7 +100,6 @@ class Executor:
         self._max_engines = 4
         self._store = store
         self._autotuner = autotuner
-        self._compiled_cache = None
         # Engine-cache lifecycle counters (the observability layer's
         # window into pool behaviour; a respawn is the recovery proof
         # after a WorkerCrashError closed an engine).
@@ -129,31 +127,6 @@ class Executor:
         """Tuner counters (empty dict until auto resolution first runs)."""
         return (self._autotuner.stats_dict()
                 if self._autotuner is not None else {})
-
-    # ------------------------------------------------------------- compiled
-    @property
-    def compiled_cache(self) -> CompiledCache:
-        """This executor's :class:`~repro.codegen.compiled.CompiledCache`.
-
-        Backed by the executor's ``store`` when one was given (compiled
-        artifacts persist in the ``"compiled"`` tier and warm-start
-        later processes with zero recompiles); otherwise the
-        process-global cache (memory-only).
-        """
-        if self._compiled_cache is None:
-            from repro.codegen.compiled import (
-                CompiledCache,
-                default_compiled_cache,
-            )
-            self._compiled_cache = (CompiledCache(store=self._store)
-                                    if self._store is not None
-                                    else default_compiled_cache())
-        return self._compiled_cache
-
-    def compiled_stats(self) -> dict:
-        """Compiled-tier counters (empty until order="compiled" runs)."""
-        return (self._compiled_cache.stats_dict()
-                if self._compiled_cache is not None else {})
 
     def _resolve_auto(self, H: HMatrix, W,
                       pol: ExecutionPolicy) -> ExecutionPolicy:
@@ -226,17 +199,8 @@ class Executor:
         if pol.backend == "process" and pol.order != "original":
             # The process engine implements the batched lowering only;
             # order="original" explicitly asks for the per-block code, so
-            # it wins over the backend and runs in-process (and the
-            # compiled tier is an in-process fusion of that same
-            # lowering, so it maps to the engine's batched order).
-            engine_order = "batched" if pol.order == "compiled" else pol.order
-            return self.engine_for(H, pol).matmul(W, order=engine_order)
-        if pol.order == "compiled":
-            # Resolve through this executor's cache (store-backed when
-            # available) so the evaluator attached to H is the persisted
-            # one; H.matmul then dispatches to it — or degrades to the
-            # batched path when resolution returned None.
-            self.compiled_cache.evaluator_for(H)
+            # it wins over the backend and runs in-process.
+            return self.engine_for(H, pol).matmul(W, order=pol.order)
         if self._pool is None and pol.num_threads and pol.num_threads > 1:
             # Per-call thread request on a pool-less executor: honor it
             # with a short-lived pool rather than silently running serial.

@@ -2,7 +2,7 @@
 
 This is the object the MatRox inspector hands to the executor (the ``H`` of
 the paper's Figure 2). It owns the CDS-packed generators, the structure sets
-that produced the layout, and the compiled specialized evaluator, and maps
+that produced the layout, and the generated specialized evaluator, and maps
 between the user's point order and the internal tree order.
 """
 
@@ -29,8 +29,6 @@ class HMatrix:
     metadata: dict = field(default_factory=dict)
     _batched: GeneratedEvaluator | None = field(default=None, repr=False)
     _batched_built: bool = field(default=False, repr=False)
-    _compiled: object | None = field(default=None, repr=False)
-    _compiled_built: bool = field(default=False, repr=False)
 
     @property
     def factors(self) -> Factors:
@@ -80,26 +78,6 @@ class HMatrix:
                 self._batched = generate_batched_evaluator(self.cds)
         return self._batched
 
-    @property
-    def compiled_evaluator(self):
-        """The fused compiled evaluator, or None when unavailable.
-
-        Resolved (and attached) through the process-global
-        :class:`~repro.codegen.compiled.CompiledCache` on first use;
-        Executors/Sessions resolve through their own store-backed cache
-        instead, which attaches here too. ``None`` means
-        ``order="compiled"`` degrades to the batched path.
-        """
-        if not self._compiled_built:
-            from repro.codegen.compiled import default_compiled_cache
-            default_compiled_cache().evaluator_for(self)
-        return self._compiled
-
-    def attach_compiled(self, ev) -> None:
-        """Attach a resolved compiled evaluator (or None = unavailable)."""
-        self._compiled = ev
-        self._compiled_built = True
-
     def matmul(self, W: np.ndarray, pool=None, order: str | None = None,
                q_chunk: int | None = None,
                policy: "ExecutionPolicy | None" = None) -> np.ndarray:
@@ -111,9 +89,7 @@ class HMatrix:
         shared default) treats W rows as being in the user's input point
         order and executes through the bucketed batched-GEMM engine, falling
         back to the per-block code (with ``pool``) when the cost model
-        rejected batch lowering; ``order="compiled"`` runs the fused
-        compiled executor (bit-identical; degrades to the batched path
-        when unavailable); ``order="original"`` forces the per-block
+        rejected batch lowering; ``order="original"`` forces the per-block
         code; ``order="tree"`` skips both permutations (internal/benchmark
         use). ``q_chunk`` overrides the selected evaluator's streaming panel
         width (the single chunking layer — callers never chunk on top of
@@ -154,21 +130,17 @@ class HMatrix:
             )
         if order == "tree":
             ev = self.evaluator
-        elif order in ("original", "batched", "compiled"):
-            # Degradation chain: compiled -> batched -> per-block code.
-            # Each step preserves results bit-for-bit, so asking for a
-            # tier that is unavailable is a performance event (counted
-            # by the CompiledCache / lowering decision), never an error.
+        elif order in ("original", "batched"):
+            # Degradation: batched -> per-block code. Both give the same
+            # results, so a rejected batch lowering is a performance
+            # event (recorded in the lowering decision), never an error.
             ev = self.evaluator
-            if order == "compiled" and self.compiled_evaluator is not None:
-                ev = self.compiled_evaluator
-            elif (order in ("batched", "compiled")
-                    and self.batched_evaluator is not None):
+            if order == "batched" and self.batched_evaluator is not None:
                 ev = self.batched_evaluator
         else:
             raise ValueError(
-                f"order must be 'original', 'tree', 'batched', or "
-                f"'compiled', got {order!r}"
+                f"order must be 'original', 'tree' or 'batched', "
+                f"got {order!r}"
             )
         if q_chunk is not None and ev.q_chunk != q_chunk:
             ev = replace(ev, q_chunk=q_chunk)

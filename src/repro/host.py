@@ -1,14 +1,9 @@
 """Host identity: the axes a host-specific artifact depends on.
 
-Two PlanStore tiers key artifacts by host — tuning profiles (a measured
-policy winner is only transferable between like hosts) and compiled
-executors (index tables and workspace plans are laid out for one
-BLAS/CPU configuration). Both MUST use the same signature: if the tuner
-and the compiled tier disagreed about what "this host" means, a
-signature change (new BLAS, different affinity mask) would invalidate
-one cache but silently replay the other. This module is the single
-definition; :mod:`repro.tuning.profile` re-exports it for backward
-compatibility.
+Tuning profiles are keyed by host (a measured policy winner is only
+transferable between like hosts), and run manifests record it. This
+module is the single definition, so a signature change (new BLAS,
+different affinity mask) means the same thing to every consumer.
 """
 
 from __future__ import annotations
@@ -40,7 +35,7 @@ def _blas_vendor() -> str:
 
 
 def host_signature() -> dict:
-    """The host axes a measured or compiled artifact depends on.
+    """The host axes a measured artifact depends on.
 
     ``cpus`` is the *effective* count (:func:`effective_cpu_count` — the
     scheduler-affinity mask, not the machine), so an artifact built

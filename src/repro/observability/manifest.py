@@ -138,7 +138,7 @@ class RunManifest:
         """Assemble + content-address a manifest from already-collected
         parts (``run_id`` is the SHA-256 prefix of the canonical body,
         so equal inputs name equal manifests)."""
-        from repro.tuning.profile import host_signature
+        from repro.host import host_signature
 
         body = {
             "manifest_version": MANIFEST_VERSION,

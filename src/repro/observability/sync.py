@@ -2,17 +2,17 @@
 certifier (DESIGN.md §14).
 
 The serving stack's thread tier — :class:`~repro.api.service.KernelService`'s
-dispatcher Condition, :class:`~repro.api.store.PlanStore`'s RLock, the
-compiled cache's double-checked locks, autotune's per-key locks, the net
-server's per-connection threads — synchronises through a handful of
-primitives. This module wraps those primitives so that, **under test**, a
-process-global :class:`SyncTracer` records every synchronisation event
-(lock acquire/release, thread fork/join, Condition wait, Future
-set/result, queue put/get) plus every access to a ``# guarded-by:``
-annotated attribute. :mod:`repro.analysis.happens_before` replays the
-recorded trace through vector clocks and certifies that no two
-conflicting guarded accesses were unordered — turning the declarative
-``guarded-by`` annotations of the static layer into checked facts.
+dispatcher Condition, :class:`~repro.api.store.PlanStore`'s RLock,
+autotune's per-key locks, the net server's per-connection threads —
+synchronises through a handful of primitives. This module wraps those
+primitives so that, **under test**, a process-global :class:`SyncTracer`
+records every synchronisation event (lock acquire/release, thread
+fork/join, Condition wait, Future set/result, queue put/get) plus every
+access to a ``# guarded-by:`` annotated attribute.
+:mod:`repro.analysis.happens_before` replays the recorded trace through
+vector clocks and certifies that no two conflicting guarded accesses
+were unordered — turning the declarative ``guarded-by`` annotations of
+the static layer into checked facts.
 
 The production fast path stays free: the :func:`make_lock` /
 :func:`make_rlock` / :func:`make_condition` factories hand back plain
@@ -591,12 +591,10 @@ def default_instrumented_classes() -> list[type]:
     fixtures instrument (everything with cross-thread guarded state)."""
     from repro.api.service import KernelService
     from repro.api.store import PlanStore
-    from repro.codegen import compiled as _compiled
     from repro.net.server import AuditLog, KernelServer
     from repro.net.tenants import Tenant
 
-    return [KernelService, PlanStore, Tenant, KernelServer, AuditLog,
-            _compiled.CompiledCache, _compiled._Runtime]
+    return [KernelService, PlanStore, Tenant, KernelServer, AuditLog]
 
 
 # --------------------------------------------------------------------------

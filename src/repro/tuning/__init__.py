@@ -10,12 +10,9 @@ See DESIGN.md section 9 for the profile format and re-tune triggers.
 """
 
 from repro.tuning.autotune import (
-    AutotuneBackend,
     Autotuner,
     AutotuneStats,
-    autotune_backends,
     default_autotuner,
-    register_autotune_backend,
     reset_default_autotuner,
     resolve_auto,
     tune,
@@ -24,23 +21,18 @@ from repro.tuning.profile import (
     PROFILE_FORMAT_VERSION,
     TuningProfile,
     hmatrix_fingerprint,
-    host_signature,
     policy_from_knobs,
     policy_knobs,
     width_bucket,
 )
 
 __all__ = [
-    "AutotuneBackend",
     "Autotuner",
     "AutotuneStats",
     "PROFILE_FORMAT_VERSION",
     "TuningProfile",
-    "autotune_backends",
     "default_autotuner",
-    "register_autotune_backend",
     "hmatrix_fingerprint",
-    "host_signature",
     "policy_from_knobs",
     "policy_knobs",
     "reset_default_autotuner",

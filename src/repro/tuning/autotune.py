@@ -33,11 +33,9 @@ different host signature, or different pinned knobs.
 from __future__ import annotations
 
 import contextlib
-import importlib
 import threading
 import time
 import weakref
-from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -55,11 +53,11 @@ from repro.metrics.costmodel import (
     PROCESS_BACKEND_MIN_FLOPS,
     executor_policy_priors,
 )
+from repro.host import host_signature
 from repro.observability.sync import make_lock, make_rlock
 from repro.tuning.profile import (
     TuningProfile,
     hmatrix_fingerprint,
-    host_signature,
     policy_from_knobs,
     policy_knobs,
     policy_pins,
@@ -69,103 +67,14 @@ from repro.tuning.profile import (
 if TYPE_CHECKING:  # annotation-only: avoids an api->tuning import cycle
     from repro.api.store import PlanStore
 
-__all__ = ["AutotuneBackend", "Autotuner", "AutotuneStats",
-           "autotune_backends", "default_autotuner",
-           "register_autotune_backend", "reset_default_autotuner",
-           "resolve_auto", "tune"]
+__all__ = ["Autotuner", "AutotuneStats", "default_autotuner",
+           "reset_default_autotuner", "resolve_auto", "tune"]
 
 #: Trial panels are capped here: past ~2x the default streaming chunk,
 #: wider trials add wall time without changing any candidate's ranking
 #: (per-column cost is flat), and this width still *discriminates* the
 #: q_chunk candidate (one pass vs two) for the buckets that get one.
 TRIAL_COLS_CAP = 512
-
-
-# --------------------------------------------------------------------------
-# Candidate backends: one registry, enumerated by order="auto",
-# `repro tune`, and stats()["autotune"] alike.
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AutotuneBackend:
-    """One self-describing autotune candidate source.
-
-    ``available(ctx)`` is the capability probe; ``candidates(ctx)``
-    yields policy knob dicts (:func:`~repro.tuning.profile.policy_knobs`
-    keys). The ``ctx`` dict carries the tuning context: ``host``,
-    ``cpus``, ``q``, ``bucket``, ``flops``, ``trial_chunk`` (the widest
-    chunk a trial panel can discriminate), and ``has_batched`` (whether
-    batch lowering was accepted for the operator).
-    """
-
-    name: str
-    available: Callable[[dict], bool]
-    candidates: Callable[[dict], list]
-
-    def __post_init__(self):
-        if not self.name.isidentifier():
-            raise ValueError(f"backend name {self.name!r} must be an "
-                             f"identifier")
-
-
-_BACKEND_REGISTRY: dict[str, AutotuneBackend] = {}
-
-#: Backends living in modules this package must not import eagerly
-#: (repro.codegen.compiled registers itself on import); resolved lazily
-#: the first time the registry is enumerated.
-_BACKEND_AUTOLOAD = {"compiled": "repro.codegen.compiled"}
-
-
-def register_autotune_backend(backend: AutotuneBackend) -> AutotuneBackend:
-    """Register (or replace) a candidate backend by name."""
-    if not isinstance(backend, AutotuneBackend):
-        raise TypeError(f"expected AutotuneBackend, got "
-                        f"{type(backend).__name__}")
-    _BACKEND_REGISTRY[backend.name] = backend
-    return backend
-
-
-def autotune_backends() -> tuple[AutotuneBackend, ...]:
-    """Every registered backend, registration-ordered (after autoload)."""
-    for name, module in _BACKEND_AUTOLOAD.items():
-        if name not in _BACKEND_REGISTRY:
-            with contextlib.suppress(ImportError):  # optional module
-                importlib.import_module(module)
-    return tuple(_BACKEND_REGISTRY.values())
-
-
-def _batched_candidates(ctx: dict) -> list:
-    out = [{"order": "batched"}]
-    # One streaming pass instead of several: worth trying once the
-    # bucket outgrows the generated default panel width. The chunk is
-    # capped at the *trial* width so the candidate is only offered when
-    # the trial actually discriminates it — a candidate whose trial run
-    # is byte-for-byte the default's would make the "measured" winner
-    # pure timing noise.
-    if ctx["trial_chunk"] > DEFAULT_Q_CHUNK:
-        out.append({"order": "batched", "q_chunk": ctx["trial_chunk"]})
-    return out
-
-
-def _original_candidates(ctx: dict) -> list:
-    out = [{"order": "original"}]
-    if ctx["cpus"] > 1:
-        out.append({"order": "original", "num_threads": ctx["cpus"]})
-    return out
-
-
-register_autotune_backend(AutotuneBackend(
-    name="batched", available=lambda ctx: True,
-    candidates=_batched_candidates))
-register_autotune_backend(AutotuneBackend(
-    name="original", available=lambda ctx: True,
-    candidates=_original_candidates))
-register_autotune_backend(AutotuneBackend(
-    name="process",
-    available=lambda ctx: (ctx["cpus"] > 1
-                           and ctx["flops"] >= PROCESS_BACKEND_MIN_FLOPS),
-    candidates=lambda ctx: [{"order": "batched", "backend": "process",
-                             "num_workers": ctx["cpus"]}]))
 
 
 def _fingerprint_drop(tuner_ref, key) -> None:
@@ -322,22 +231,29 @@ class Autotuner:
                            pins: dict | None = None) -> list[dict]:
         """The policy grid for ``(H, q)`` as knob dicts, pins applied.
 
-        The grid is the union of every registered
-        :class:`AutotuneBackend` whose probe passes — one source of
-        truth shared with ``repro tune`` and ``stats()["autotune"]``.
-        Only result-preserving policies are eligible: ``order="tree"``
+        One fixed grid, shared with ``repro tune``: the batched engine
+        (plus one streaming pass instead of several once the trial
+        width outgrows :data:`DEFAULT_Q_CHUNK` — capped at the trial
+        width, so the trial discriminates it), the per-block code
+        serially and over one thread per CPU, and the process backend
+        once the host has CPUs to shard over and the product's flops
+        amortize the pool (:data:`PROCESS_BACKEND_MIN_FLOPS`). Only
+        result-preserving policies are eligible: ``order="tree"``
         changes the meaning of W's row order, so auto never selects it.
         """
         pins = dict(pins or {})
-        ctx = self._backend_ctx(H, q)
-        grid: list[dict] = []
-        for backend in autotune_backends():
-            try:
-                if not backend.available(ctx):
-                    continue
-                grid.extend(dict(knobs) for knobs in backend.candidates(ctx))
-            except Exception:  # noqa: BLE001 - a broken probe is a no-op,
-                continue       # not a tuning failure
+        cpus = int(self.host.get("cpus", 1))
+        bucket = width_bucket(q)
+        trial_chunk = min(bucket, self._trial_width(bucket))
+        grid: list[dict] = [{"order": "batched"}]
+        if trial_chunk > DEFAULT_Q_CHUNK:
+            grid.append({"order": "batched", "q_chunk": trial_chunk})
+        grid.append({"order": "original"})
+        if cpus > 1:
+            grid.append({"order": "original", "num_threads": cpus})
+            if H.evaluation_flops(bucket) >= PROCESS_BACKEND_MIN_FLOPS:
+                grid.append({"order": "batched", "backend": "process",
+                             "num_workers": cpus})
         out, seen = [], set()
         for knobs in grid:
             merged = {**knobs, **pins}
@@ -351,20 +267,6 @@ class Autotuner:
             policy_from_knobs(merged)  # validates the combination
             out.append(merged)
         return out
-
-    def _backend_ctx(self, H, q: int) -> dict:
-        """The probe/candidate context handed to every backend."""
-        bucket = width_bucket(q)
-        decision = getattr(H.evaluator, "decision", None)
-        return {
-            "host": dict(self.host),
-            "cpus": int(self.host.get("cpus", 1)),
-            "q": int(q),
-            "bucket": bucket,
-            "flops": float(H.evaluation_flops(bucket)),
-            "trial_chunk": min(bucket, self._trial_width(bucket)),
-            "has_batched": bool(getattr(decision, "batch", False)),
-        }
 
     # ------------------------------------------------------------ measuring
     def tune(self, H, q: int, policy: ExecutionPolicy | None = None,
@@ -472,8 +374,7 @@ class Autotuner:
     def stats_dict(self) -> dict:
         with self._lock:
             return {**self.stats.as_dict(),
-                    "profiles": len(self._profiles),
-                    "backends": [b.name for b in autotune_backends()]}
+                    "profiles": len(self._profiles)}
 
 
 # --------------------------------------------------------------------------

@@ -21,9 +21,9 @@ won, by this margin*. Profiles are keyed by
   profile must never answer an unconstrained query (or vice versa).
 
 Profiles travel as plain JSON-able dicts through
-:meth:`~repro.api.store.PlanStore.put_profile` /
-:meth:`~repro.api.store.PlanStore.get_profile` (same atomic-write +
-SHA-256-manifest path as plan artifacts; see DESIGN.md section 9).
+``PlanStore.put("profile", ...)`` / ``PlanStore.get("profile", ...)``
+(same atomic-write + SHA-256-manifest path as plan artifacts; see
+DESIGN.md section 9).
 """
 
 from __future__ import annotations
@@ -35,13 +35,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.api.policy import DEFAULT_POLICY, ExecutionPolicy
-from repro.host import host_key, host_signature
+from repro.host import host_key
 
 __all__ = [
     "PROFILE_FORMAT_VERSION",
     "TuningProfile",
     "hmatrix_fingerprint",
-    "host_signature",
     "policy_from_knobs",
     "policy_knobs",
     "width_bucket",
@@ -80,11 +79,6 @@ def policy_from_knobs(knobs: dict) -> ExecutionPolicy:
         raise ValueError(f"unknown policy knob(s) {unknown}")
     return ExecutionPolicy(**{k: knobs[k] for k in POLICY_KNOBS
                               if k in knobs})
-
-
-# host_signature()/host_key() live in repro.host (shared with the
-# compiled-artifact tier so both key off ONE host definition); they are
-# re-exported here — importing them from this module is deprecated.
 
 
 def hmatrix_fingerprint(H) -> str:

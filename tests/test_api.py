@@ -109,6 +109,17 @@ class TestExecutionPolicy:
         with pytest.raises(ValueError):
             ExecutionPolicy(**bad)
 
+    def test_retired_fused_order_rejected(self):
+        """The fused "compiled" order is gone: asking for it is a
+        ValueError that names the orders that remain."""
+        retired = "compiled"
+        with pytest.raises(ValueError) as exc:
+            ExecutionPolicy(order=retired)
+        msg = str(exc.value)
+        assert repr(retired) in msg
+        for order in ("batched", "original", "tree", "auto"):
+            assert repr(order) in msg
+
     def test_resolution_precedence(self):
         pol = ExecutionPolicy(order="original", num_threads=2)
         merged = resolve_policy(pol, order="tree", q_chunk=64)
@@ -426,6 +437,17 @@ class TestCLIPolicyFlags:
 
         with pytest.raises(SystemExit):
             main(["evaluate", str(stored_hmatrix), "--order", "bfs"])
+
+    def test_evaluate_rejects_retired_fused_order(self, stored_hmatrix,
+                                                  capsys):
+        """--order choices come from VALID_ORDERS, so the retired fused
+        order is an argparse usage error (exit 2)."""
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", str(stored_hmatrix), "--order", "compiled"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'compiled'" in capsys.readouterr().err
 
 
 class TestSessionPolicyRegression:

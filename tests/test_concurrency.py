@@ -103,7 +103,7 @@ class TestLockOrder:
         for lock in ("KernelService._cv", "KernelService._session_lock",
                      "PlanStore._lock", "Autotuner._lock",
                      "Autotuner._key_locks[*]", "KernelServer._lock",
-                     "AuditLog._lock", "CompiledCache._lock"):
+                     "AuditLog._lock"):
             assert lock in report.locks, lock
         assert report.locks["PlanStore._lock"] == "rlock"
         assert report.locks["KernelService._cv"] == "condition"

@@ -5,8 +5,7 @@ node) by shape ``(m, k)`` and runs each group as one stacked
 ``np.matmul``: ``S[rows] += np.matmul(P, T[idx]).reshape(-1, Q)``. NumPy
 runs a stack as one BLAS GEMM per member, the same call as the member's
 2-D GEMM, and S is still zero there, so the products keep their bits. The
-compiled tier and the process engine take their coupling schedule from the
-same helper.
+process engine takes its coupling schedule from the same helper.
 """
 
 from __future__ import annotations
@@ -15,12 +14,6 @@ import numpy as np
 import pytest
 
 from repro import ProcessEngine, inspector, relative_error
-from repro.codegen.compiled import (
-    NARROW_Q_MAX,
-    build_artifact,
-    compile_evaluator,
-    reset_default_compiled_cache,
-)
 from repro.codegen.emit import (
     _batched_far_tables,
     _rank_offsets,
@@ -30,13 +23,6 @@ from repro.codegen.emit import (
 )
 from repro.datasets import load_dataset
 from repro.kernels.base import get_kernel
-
-
-@pytest.fixture(autouse=True)
-def _isolate_default_cache():
-    reset_default_compiled_cache()
-    yield
-    reset_default_compiled_cache()
 
 
 def _plan(n, seed, bandwidth, bacc):
@@ -124,16 +110,6 @@ class TestLayout:
         with pytest.raises(ValueError, match="overlapping"):
             _stacked_panels(panels + panels[:1])
 
-    def test_compiled_tables_follow_the_stacks(self, H, stacks):
-        art = build_artifact(H.cds)
-        specs = np.asarray(art.tables["fstack_specs"]).reshape(-1, 5)
-        singles = np.asarray(art.tables["far_specs"]).reshape(-1, 5)
-        many = [P.shape for P, _idx, _rows in stacks if P.shape[0] > 1]
-        assert [tuple(s[:3]) for s in specs.tolist()] == many
-        assert len(singles) == len(stacks) - len(many)
-        assert art.meta["counts"]["far_stack_members"] == sum(
-            g for g, _m, _k in many)
-
 
 class _RecordingStack(np.ndarray):
     """A stack that logs the shape of every np.matmul it heads."""
@@ -164,16 +140,20 @@ class TestOneMatmulPerStack:
             P.shape for P, _idx, _rows in stacks] * passes
 
 
+@pytest.fixture(scope="module")
+def engine(H):
+    with ProcessEngine(H, num_workers=2) as eng:
+        yield eng
+
+
 class TestEngineAgreement:
-    @pytest.mark.parametrize("q", [1, 4, NARROW_Q_MAX, 32, 300])
-    def test_batched_compiled_original(self, H, q):
+    @pytest.mark.parametrize("q", [1, 4, 8, 32, 300])
+    def test_batched_process_original(self, H, engine, q):
         W = np.random.default_rng(q).standard_normal((H.dim, q))
         y_batched = H.matmul(W, order="batched")
         y_original = H.matmul(W, order="original")
         assert relative_error(y_batched, y_original) < 1e-12
-        if q <= NARROW_Q_MAX:
-            y_compiled = compile_evaluator(H)(W[H.tree.perm])
-            assert y_compiled.tobytes() == y_batched[H.tree.perm].tobytes()
+        assert engine.matmul(W).tobytes() == y_batched.tobytes()
 
     def test_process_engine_bytes(self, H):
         rng = np.random.default_rng(9)

@@ -337,60 +337,3 @@ class TestChaosStoreCorruption:
         fresh.resolve(H, 4, auto)
         assert fresh.stats.tunes == 1
         assert fresh.stats.store_hits == 0
-
-    def test_compiled_rot_degrades_and_rebuilds_exactly_once(
-            self, tmp_path, points_2d, gaussian_kernel):
-        """The compiled tier's contract differs from the profile tier's:
-        serving must never raise. On-disk rot is quarantined by the
-        store, surfaces as a typed ``store_corrupt`` fallback, and the
-        artifact is rebuilt (and re-persisted) exactly once — with
-        byte-identical results throughout."""
-        pol = ExecutionPolicy(order="compiled")
-        d = tmp_path / "store"
-        W = np.random.default_rng(11).random((len(points_2d), 2))
-        with Session(plan=CHAOS_PLAN, store=PlanStore(d), policy=pol) as s:
-            Y0 = s.matmul(s.inspect(points_2d, kernel=gaussian_kernel), W)
-            assert s.cache_info()["compiled"]["builds"] == 1
-
-        _flip_payload(d, "compiled")
-        store = PlanStore(d)
-        with Session(plan=CHAOS_PLAN, store=store, policy=pol) as s:
-            H = s.inspect(points_2d, kernel=gaussian_kernel)
-            Y1 = s.matmul(H, W)  # no exception: degrade + rebuild
-            s.matmul(H, W)       # second request: memory hit, no rebuild
-            info = s.cache_info()["compiled"]
-        assert info["fallbacks"] == {"store_corrupt": 1}
-        assert info["builds"] == 1 and info["store_puts"] == 1
-        assert store.stats.quarantined == 1
-        assert Y1.tobytes() == Y0.tobytes()
-
-        # The re-persisted artifact serves the next process cleanly.
-        with Session(plan=CHAOS_PLAN, store=PlanStore(d), policy=pol) as s:
-            s.matmul(s.inspect(points_2d, kernel=gaussian_kernel), W)
-            info = s.cache_info()["compiled"]
-        assert info["builds"] == 0 and info["store_hits"] == 1
-
-    def test_compiled_verify_to_decode_rot_degrades(self, tmp_path,
-                                                    points_2d,
-                                                    gaussian_kernel):
-        """Live TOCTOU rot on the compiled tier (bytes rot between
-        SHA-256 verify and decode): quarantined by the store, absorbed
-        by the cache as one typed fallback + rebuild — the request
-        still succeeds."""
-        pol = ExecutionPolicy(order="compiled")
-        d = tmp_path / "store"
-        W = np.random.default_rng(12).random((len(points_2d), 2))
-        with Session(plan=CHAOS_PLAN, store=PlanStore(d), policy=pol) as s:
-            Y0 = s.matmul(s.inspect(points_2d, kernel=gaussian_kernel), W)
-
-        store = PlanStore(d)
-        with Session(plan=CHAOS_PLAN, store=store, policy=pol) as s:
-            H = s.inspect(points_2d, kernel=gaussian_kernel)
-            with inject_faults(FaultPlan(corrupt_tier="compiled")) as fp:
-                Y1 = s.matmul(H, W)
-            assert fp.fired == ["corrupt:compiled"]
-            info = s.cache_info()["compiled"]
-        assert info["fallbacks"] == {"store_corrupt": 1}
-        assert info["builds"] == 1
-        assert store.stats.quarantined == 1
-        assert Y1.tobytes() == Y0.tobytes()

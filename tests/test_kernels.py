@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro import inspector
+from repro.api.policy import ExecutionPolicy
 from repro.kernels import (
     GaussianKernel,
     InverseDistanceKernel,
@@ -111,12 +112,16 @@ class TestRegularizedProducts:
             out[reg] = (H, kernel.matrix(points) @ W)
         return W, out
 
-    @pytest.mark.parametrize("order", ["batched", "original", "compiled"])
-    def test_regularized_error_matches_unregularized(self, products, order):
+    @pytest.mark.parametrize("engine", ["batched", "original", "process"])
+    def test_regularized_error_matches_unregularized(self, products, engine):
+        policy = {"batched": ExecutionPolicy(order="batched"),
+                  "original": ExecutionPolicy(order="original"),
+                  "process": ExecutionPolicy(backend="process",
+                                             num_workers=2)}[engine]
         W, by_reg = products
         errors = {}
         for reg, (H, ref) in by_reg.items():
-            Y = H.matmul(W, order=order)
+            Y = H.matmul(W, policy=policy)
             errors[reg] = np.linalg.norm(Y - ref) / np.linalg.norm(ref)
         assert errors[0.0] < 1e-7
         assert errors[0.5] <= 2 * errors[0.0], errors

@@ -6,8 +6,11 @@ an existing store directory must serve its first matmul with zero
 must fail closed with :class:`PlanStoreError`.
 """
 
+import hashlib
+import io
 import json
 import threading
+import time
 import zipfile
 
 import numpy as np
@@ -15,7 +18,8 @@ import pytest
 
 from repro import PlanConfig, PlanStore, PlanStoreError, Session
 from repro.api.session import points_fingerprint
-from repro.api.store import registered_tiers
+from repro.api.store import STORE_VERSION, registered_tiers
+from repro.cli import main as cli_main
 from repro.kernels import GaussianKernel
 
 PLAN = PlanConfig(leaf_size=32, bacc=1e-6, p=4, seed=0)
@@ -53,26 +57,26 @@ class TestMemoryTier:
     def test_get_put_roundtrip_identity(self, hmatrix_2d):
         store = PlanStore()
         key = ("pfp", "planfp", ("gaussian",))
-        assert store.get_hmatrix(key) is None
-        store.put_hmatrix(key, hmatrix_2d)
-        assert store.get_hmatrix(key) is hmatrix_2d
+        assert store.get("hmatrix", key) is None
+        store.put("hmatrix", key, hmatrix_2d)
+        assert store.get("hmatrix", key) is hmatrix_2d
         assert store.stats.memory_hits == 1 and store.stats.misses == 1
 
     def test_lru_capacity_respected(self, hmatrix_2d):
         store = PlanStore(memory_hmatrix=2)
         for i in range(3):
-            store.put_hmatrix(("k", i), hmatrix_2d)
-        assert store.get_hmatrix(("k", 0)) is None  # evicted, oldest
-        assert store.get_hmatrix(("k", 2)) is hmatrix_2d
+            store.put("hmatrix", ("k", i), hmatrix_2d)
+        assert store.get("hmatrix", ("k", 0)) is None  # evicted, oldest
+        assert store.get("hmatrix", ("k", 2)) is hmatrix_2d
 
     def test_memory_only_flush_requires_directory(self, hmatrix_2d,
                                                   tmp_path):
         store = PlanStore()
-        store.put_hmatrix(("k",), hmatrix_2d)
+        store.put("hmatrix", ("k",), hmatrix_2d)
         with pytest.raises(PlanStoreError, match="memory-only"):
             store.flush()
         assert store.flush(tmp_path / "snap") == 1
-        assert PlanStore(tmp_path / "snap").get_hmatrix(("k",)) is not None
+        assert PlanStore(tmp_path / "snap").get("hmatrix", ("k",)) is not None
 
     def test_distinct_keys_distinct_digests(self):
         d1 = PlanStore.digest("hmatrix", ("a", "b"))
@@ -89,9 +93,9 @@ class TestDiskTier:
     def test_hmatrix_roundtrip_same_product(self, hmatrix_2d, tmp_path):
         store = PlanStore(tmp_path)
         key = ("pfp", "planfp", ("gaussian",))
-        store.put_hmatrix(key, hmatrix_2d)
+        store.put("hmatrix", key, hmatrix_2d)
         fresh = PlanStore(tmp_path)  # no memory tier content
-        H2 = fresh.get_hmatrix(key)
+        H2 = fresh.get("hmatrix", key)
         assert fresh.stats.disk_hits == 1
         W = np.random.default_rng(0).random((hmatrix_2d.dim, 4))
         np.testing.assert_array_equal(hmatrix_2d.matmul(W), H2.matmul(W))
@@ -99,8 +103,8 @@ class TestDiskTier:
     def test_p1_roundtrip(self, p1_2d, inspector_small, gaussian_kernel,
                           tmp_path):
         store = PlanStore(tmp_path)
-        store.put_p1(("pfp", "p1fp"), p1_2d)
-        p1b = PlanStore(tmp_path).get_p1(("pfp", "p1fp"))
+        store.put("p1", ("pfp", "p1fp"), p1_2d)
+        p1b = PlanStore(tmp_path).get("p1", ("pfp", "p1fp"))
         H_a = inspector_small.run_p2(p1_2d, gaussian_kernel)
         H_b = inspector_small.run_p2(p1b, gaussian_kernel)
         W = np.random.default_rng(1).random((H_a.dim, 3))
@@ -108,17 +112,17 @@ class TestDiskTier:
 
     def test_second_get_served_from_memory(self, hmatrix_2d, tmp_path):
         store = PlanStore(tmp_path)
-        store.put_hmatrix(("k",), hmatrix_2d)
+        store.put("hmatrix", ("k",), hmatrix_2d)
         fresh = PlanStore(tmp_path)
-        fresh.get_hmatrix(("k",))
-        fresh.get_hmatrix(("k",))
+        fresh.get("hmatrix", ("k",))
+        fresh.get("hmatrix", ("k",))
         assert fresh.stats.disk_hits == 1
         assert fresh.stats.memory_hits == 1
 
     def test_manifest_records_key_and_sha(self, hmatrix_2d, tmp_path):
         store = PlanStore(tmp_path)
         key = ("pfp", "planfp", ("gaussian", (("bandwidth", 0.5),)))
-        store.put_hmatrix(key, hmatrix_2d)
+        store.put("hmatrix", key, hmatrix_2d)
         (entry,) = store.entries()
         assert entry["tier"] == "hmatrix"
         assert entry["key"] == repr(key)
@@ -127,7 +131,7 @@ class TestDiskTier:
 
     def test_no_tmp_litter_after_put(self, hmatrix_2d, tmp_path):
         store = PlanStore(tmp_path)
-        store.put_hmatrix(("k",), hmatrix_2d)
+        store.put("hmatrix", ("k",), hmatrix_2d)
         assert not list(tmp_path.glob("*.tmp.*"))
 
     def test_warm_preloads_memory(self, store_dir):
@@ -183,24 +187,24 @@ class TestIntegrity:
 class TestEviction:
     def test_max_bytes_evicts_lru(self, hmatrix_2d, p1_2d, tmp_path):
         store = PlanStore(tmp_path, max_bytes=1)  # everything but newest
-        store.put_p1(("p1",), p1_2d)
-        store.put_hmatrix(("h",), hmatrix_2d)
+        store.put("p1", ("p1",), p1_2d)
+        store.put("hmatrix", ("h",), hmatrix_2d)
         assert store.stats.evictions >= 1
         assert len(store.entries()) == 1
         # Evicted entries are clean misses (no torn state), not errors.
         fresh = PlanStore(tmp_path)
-        assert fresh.get_p1(("p1",)) is None
-        assert fresh.get_hmatrix(("h",)) is not None
+        assert fresh.get("p1", ("p1",)) is None
+        assert fresh.get("hmatrix", ("h",)) is not None
 
     def test_newest_entry_never_evicted(self, hmatrix_2d, tmp_path):
         store = PlanStore(tmp_path, max_bytes=1)
-        store.put_hmatrix(("only",), hmatrix_2d)
+        store.put("hmatrix", ("only",), hmatrix_2d)
         assert len(store.entries()) == 1
 
     def test_unbounded_by_default(self, hmatrix_2d, tmp_path):
         store = PlanStore(tmp_path)
         for i in range(3):
-            store.put_hmatrix(("k", i), hmatrix_2d)
+            store.put("hmatrix", ("k", i), hmatrix_2d)
         assert store.stats.evictions == 0
         assert len(store.entries()) == 3
 
@@ -302,7 +306,7 @@ class TestRegularisedPlanKeys:
     def _put_under_old_key(self, root, kernel, H):
         key = (points_fingerprint(self.POINTS), self.PLAN.fingerprint(),
                kernel.identity())
-        PlanStore(root).put_hmatrix(key, H)
+        PlanStore(root).put("hmatrix", key, H)
 
     def _rel_err(self, H, kernel):
         W = np.random.default_rng(1).random((len(self.POINTS), 4))
@@ -347,8 +351,8 @@ class TestThreadSafety:
         def worker(i):
             try:
                 for j in range(5):
-                    store.put_hmatrix(("k", i, j), hmatrix_2d)
-                    assert store.get_hmatrix(("k", i, j)) is not None
+                    store.put("hmatrix", ("k", i, j), hmatrix_2d)
+                    assert store.get("hmatrix", ("k", i, j)) is not None
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
@@ -362,11 +366,81 @@ class TestThreadSafety:
         assert len(store.entries()) == 20
 
 
+def _plant_retired_entry(directory):
+    """A "compiled" entry as builds that still had the fused tier wrote
+    it: an npz payload and a manifest with its SHA-256, the current store
+    version and the same content address. This build registers no such
+    tier."""
+    tier, key = "compiled", ("fingerprint", "host")
+    buf = io.BytesIO()
+    np.savez(buf, source=np.array("def hmatmul_compiled(W, Y, ws): ..."),
+             meta=np.array(json.dumps({"format_version": 2})))
+    data = buf.getvalue()
+    digest = hashlib.sha256(
+        repr((tier, repr(key))).encode()).hexdigest()[:32]
+    (directory / f"{digest}.npz").write_bytes(data)
+    manifest = {"store_version": STORE_VERSION, "tier": tier,
+                "key": repr(key), "sha256": hashlib.sha256(data).hexdigest(),
+                "size": len(data), "created": time.time()}
+    manifest_path = directory / f"{digest}.json"
+    manifest_path.write_text(json.dumps(manifest, indent=1))
+    return manifest_path
+
+
+class TestRetiredTierEntries:
+    """Stores written by older builds can hold entries of the retired
+    "compiled" tier. Serving ignores them, warm() fails closed on them
+    without quarantining, `repro stats` lists them and gc() collects
+    them unless asked to keep other builds' entries."""
+
+    def test_session_serves_as_before(self, store_dir, points_2d,
+                                      gaussian_kernel):
+        W = np.random.default_rng(5).random((len(points_2d), 3))
+        with Session(plan=PLAN, store=PlanStore(store_dir)) as session:
+            Y0 = session.matmul(
+                session.inspect(points_2d, kernel=gaussian_kernel), W)
+        _plant_retired_entry(store_dir)
+        with Session(plan=PLAN, store=PlanStore(store_dir)) as session:
+            H = session.inspect(points_2d, kernel=gaussian_kernel)
+            Y1 = session.matmul(H, W)
+            assert session.stats.p1_builds == 0
+            assert session.stats.p2_builds == 0
+            assert session.stats.hmatrix_hits == 1
+        assert Y1.tobytes() == Y0.tobytes()
+
+    def test_warm_fails_closed_naming_the_tier(self, store_dir):
+        planted = _plant_retired_entry(store_dir)
+        store = PlanStore(store_dir)
+        with pytest.raises(PlanStoreError, match="unknown tier 'compiled'"):
+            store.warm()
+        assert store.stats.integrity_failures == 1
+        assert store.stats.quarantined == 0
+        assert planted.exists() and planted.with_suffix(".npz").exists()
+
+    def test_stats_lists_the_entry(self, store_dir, capsys):
+        _plant_retired_entry(store_dir)
+        assert cli_main(["stats", "--store", str(store_dir), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["entries"] == 3 and doc["unreadable"] == 0
+        assert doc["tiers"]["compiled"]["entries"] == 1
+
+    def test_gc_removes_it_unless_other_builds_are_kept(self, store_dir):
+        planted = _plant_retired_entry(store_dir)
+        report = PlanStore(store_dir).gc(keep_other_versions=True)
+        assert report["removed"] == 0 and report["kept"] == 3
+        assert planted.exists()
+
+        store = PlanStore(store_dir)
+        report = store.gc()
+        assert report["removed"] == 1 and report["kept"] == 2
+        assert report["reclaimed_bytes"] > 0
+        assert not planted.exists()
+        assert not planted.with_suffix(".npz").exists()
+        assert store.warm() == 2  # the registered tiers still verify
+
+
 def test_tier_registry_covers_all_formats():
-    # The compiled tier self-registers via the autoload hook, so the
-    # registry enumerates all four without an explicit import here.
-    assert set(registered_tiers()) >= {"p1", "hmatrix", "profile",
-                                       "compiled"}
+    assert set(registered_tiers()) >= {"p1", "hmatrix", "profile"}
 
 
 def test_session_rejects_sizes_with_existing_store(tmp_path):
@@ -416,16 +490,16 @@ def test_memory_hits_refresh_disk_eviction_recency(hmatrix_2d, p1_2d,
     import time
 
     store = PlanStore(tmp_path)  # unbounded while populating
-    store.put_hmatrix(("hot",), hmatrix_2d)
-    store.put_p1(("cold",), p1_2d)
+    store.put("hmatrix", ("hot",), hmatrix_2d)
+    store.put("p1", ("cold",), p1_2d)
     # Make both look old, then serve "hot" from the memory tier.
     old = time.time() - 3600
     for m in tmp_path.glob("*.json"):
         os.utime(m, (old, old))
-    assert store.get_hmatrix(("hot",)) is not None  # memory hit
+    assert store.get("hmatrix", ("hot",)) is not None  # memory hit
     assert store.stats.memory_hits == 1
     store.max_bytes = 1
-    store.put_hmatrix(("new",), hmatrix_2d)  # triggers eviction
+    store.put("hmatrix", ("new",), hmatrix_2d)  # triggers eviction
     names = {e["key"] for e in store.entries()}
     assert repr(("cold",)) not in names      # cold evicted first
     assert repr(("hot",)) in names or repr(("new",)) in names

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from repro import ProcessEngine, inspector
 from repro.analysis import build_blockset, build_coarsenset
-from repro.codegen.compiled import build_artifact, evaluator_from_artifact
 from repro.codegen.emit import generate_batched_evaluator
 from repro.compression import compress
 from repro.core.evaluation import evaluate_reference
@@ -162,18 +161,16 @@ class TestEngineProperties:
     @given(seed=st.integers(0, 50), q=st.integers(1, 8))
     @settings(SLOW, max_examples=6)
     def test_engines_agree_on_degenerate_inputs(self, kind, seed, q):
-        """Batched (stacked coupling loop included), compiled and the
-        process engine return the same bytes, and the per-block code agrees
-        to rounding, whatever the point set looks like."""
+        """Batched (stacked coupling loop included) and the process
+        engine return the same bytes, and the per-block code agrees to
+        rounding, whatever the point set looks like."""
         pts = (rand_points(seed, 200, 2) if kind == "uniform"
                else degenerate_points(kind, seed))
         H = inspector(pts, kernel=GaussianKernel(0.5),
                       structure="h2-geometric", leaf_size=16, bacc=1e-6)
         batched = generate_batched_evaluator(H.cds)
-        compiled = evaluator_from_artifact(build_artifact(H.cds), batched)
         W = np.random.default_rng(seed + 1).standard_normal((len(pts), q))
         Y = batched(W)
-        assert compiled(W).tobytes() == Y.tobytes()
         with ProcessEngine(H, num_workers=2) as eng:
             assert eng.matmul(W, order="tree").tobytes() == Y.tobytes()
         Y_block = H.evaluator(W)

@@ -1,11 +1,9 @@
-"""repro.analysis: lint rules R001-R004, race certifier, write-set verifier.
+"""repro.analysis: lint rules R001-R004 and the race certifier.
 
 The acceptance bar for the analysis layer: each fixture under
 ``tests/fixtures/analysis/`` fires its rule exactly once, the shipped
-tree lints clean (``repro analyze --strict`` exits 0), the certifier
-proves a real two-worker engine race-free and flags a seeded overlap,
-and a doctored compiled artifact is rejected *before* execution — the
-cache degrades to batched bytes, never raises.
+tree lints clean (``repro analyze --strict`` exits 0), and the certifier
+proves a real two-worker engine race-free and flags a seeded overlap.
 """
 
 from __future__ import annotations
@@ -16,9 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro import PlanStore, ProcessEngine, inspector
+from repro import ProcessEngine, inspector
 from repro.analysis import (
-    AnalysisError,
     Finding,
     RaceViolation,
     analysis_counters,
@@ -30,19 +27,9 @@ from repro.analysis import (
     lint_source,
     reset_analysis_counters,
     seed_overlap_violation,
-    verify_artifact,
-    verify_artifact_file,
 )
 from repro.analysis.races import TRACE_VERSION, load_trace, save_trace
 from repro.cli import main as cli_main
-from repro.codegen.compiled import (
-    CompiledArtifact,
-    CompiledCache,
-    compile_evaluator,
-    reset_default_compiled_cache,
-    save_compiled_artifact,
-)
-from repro.tuning.profile import hmatrix_fingerprint
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "analysis"
@@ -51,10 +38,8 @@ FIXTURES = Path(__file__).resolve().parent / "fixtures" / "analysis"
 @pytest.fixture(autouse=True)
 def _reset_analysis_state():
     reset_analysis_counters()
-    reset_default_compiled_cache()
     yield
     reset_analysis_counters()
-    reset_default_compiled_cache()
 
 
 @pytest.fixture(scope="module")
@@ -69,38 +54,6 @@ def H():
 @pytest.fixture(scope="module")
 def W(H):
     return np.random.default_rng(8).random((H.dim, 6))
-
-
-def fresh(H):
-    from dataclasses import replace
-    return replace(H, _batched=None, _batched_built=False,
-                   _compiled=None, _compiled_built=False)
-
-
-def _bytes(a):
-    return np.ascontiguousarray(a).tobytes()
-
-
-@pytest.fixture(scope="module")
-def artifact(H):
-    return compile_evaluator(fresh(H)).artifact
-
-
-def _doctored(artifact, *, source=None, meta=None, **table_overrides):
-    """A copy of ``artifact`` with selected parts replaced."""
-    return CompiledArtifact(
-        meta={**artifact.meta, **(meta or {})},
-        source=source if source is not None else artifact.source,
-        tables={**artifact.tables, **table_overrides})
-
-
-def _overlap_near(artifact):
-    """Tables whose second near panel writes over the first (the
-    single-writer violation the verifier exists to catch)."""
-    ns = np.asarray(artifact.tables["near_specs"]).copy()
-    assert ns.shape[0] >= 2
-    ns[1, 3] = ns[0, 3]  # si column: two panels, same output interval
-    return _doctored(artifact, near_specs=ns)
 
 
 # --------------------------------------------------------------------------
@@ -291,118 +244,6 @@ class TestRaceCertifier:
 
 
 # --------------------------------------------------------------------------
-# Write-set verifier: legit artifacts prove, doctored ones degrade.
-# --------------------------------------------------------------------------
-
-class TestWritesetVerifier:
-    def test_real_artifact_verifies(self, artifact):
-        assert verify_artifact(artifact) is None
-        assert analysis_counters()["writeset_verified"] == 1
-        assert analysis_counters()["writeset_rejected"] == 0
-
-    def test_overlapping_near_panels_rejected(self, artifact):
-        with pytest.raises(AnalysisError, match="single-writer"):
-            verify_artifact(_overlap_near(artifact))
-        assert analysis_counters()["writeset_rejected"] == 1
-
-    def test_negative_index_rejected(self, artifact):
-        # A small plan's near loop may be one padded super-row with no
-        # gather at all; the negative entry then is the table's only one.
-        gidx = np.asarray(artifact.tables["near_gidx"]).copy()
-        gidx = np.r_[-1, gidx[1:]].astype(gidx.dtype)
-        with pytest.raises(AnalysisError, match="negative index"):
-            verify_artifact(_doctored(artifact, near_gidx=gidx))
-
-    def test_out_of_bounds_interval_rejected(self, artifact):
-        ns = np.asarray(artifact.tables["near_specs"]).copy()
-        ns[0, 3] = int(artifact.meta["dim"])  # si past the last Y row
-        with pytest.raises(AnalysisError, match="outside"):
-            verify_artifact(_doctored(artifact, near_specs=ns))
-
-    def test_duplicate_ownership_rejected(self, artifact):
-        own = np.asarray(artifact.tables["up_own"]).copy()
-        assert own.size >= 2
-        own[1] = own[0]
-        with pytest.raises(AnalysisError, match="ownership"):
-            verify_artifact(_doctored(artifact, up_own=own))
-
-    @pytest.mark.parametrize("source,match", [
-        ("import os\n", "one function definition"),
-        ("def hmatmul_compiled(W, Y, T, S):\n    print(W)\n",
-         "only"),
-        ("def wrong_name(W, Y, T, S):\n    return Y\n", "named"),
-        ("def hmatmul_compiled(W, Y, T, S):\n"
-         "    _scatter_add(W, [0], [0])\n", "may only touch"),
-        ("def hmatmul_compiled(W, Y, T, S):\n"
-         "    x = [i for i in range(3)]\n", "disallowed"),
-    ])
-    def test_source_discipline(self, artifact, source, match):
-        with pytest.raises(AnalysisError, match=match):
-            verify_artifact(_doctored(artifact, source=source))
-
-    def test_meta_without_dims_rejected(self, artifact):
-        meta = {k: v for k, v in artifact.meta.items() if k != "dim"}
-        bad = CompiledArtifact(meta=meta, source=artifact.source,
-                               tables=artifact.tables)
-        with pytest.raises(AnalysisError, match="dim/rank_rows"):
-            verify_artifact(bad)
-
-    def test_verify_artifact_file(self, artifact, tmp_path):
-        good = tmp_path / "good.npz"
-        save_compiled_artifact(artifact, good)
-        assert verify_artifact_file(good) is None
-        garbage = tmp_path / "garbage.npz"
-        garbage.write_bytes(b"not an npz")
-        with pytest.raises(AnalysisError, match="rejected"):
-            verify_artifact_file(garbage)
-
-
-class TestDoctoredArtifactServing:
-    def test_doctored_store_artifact_degrades_to_batched(self, H, W,
-                                                         artifact,
-                                                         tmp_path):
-        store = PlanStore(tmp_path)
-        cache = CompiledCache(store=store)
-        Hf = fresh(H)
-        store.put("compiled", cache.key(hmatrix_fingerprint(Hf)),
-                  _overlap_near(artifact))
-        store.clear_memory()
-        reset_analysis_counters()
-
-        # Rejected before execution: typed fallback, no exception, no
-        # rebuild masking the event.
-        assert cache.evaluator_for(Hf) is None
-        assert cache.stats.fallbacks == {"writeset_violation": 1}
-        assert cache.stats.builds == 0
-        assert analysis_counters()["writeset_rejected"] == 1
-        # ...and serving degrades to the batched bytes.
-        assert _bytes(Hf.matmul(W, order="compiled")) == \
-            _bytes(Hf.matmul(W, order="batched"))
-
-    def test_clean_store_artifact_is_verified_then_served(self, H, W,
-                                                          artifact,
-                                                          tmp_path):
-        store = PlanStore(tmp_path)
-        cache = CompiledCache(store=store)
-        Hf = fresh(H)
-        store.put("compiled", cache.key(hmatrix_fingerprint(Hf)), artifact)
-        store.clear_memory()
-        reset_analysis_counters()
-
-        assert cache.evaluator_for(Hf) is not None
-        assert cache.stats.store_hits == 1
-        assert cache.stats.fallbacks == {}
-        assert analysis_counters()["writeset_verified"] == 1
-
-    def test_fresh_builds_are_verified_too(self, H):
-        cache = CompiledCache()
-        reset_analysis_counters()
-        assert cache.evaluator_for(fresh(H)) is not None
-        assert cache.stats.builds == 1
-        assert analysis_counters()["writeset_verified"] == 1
-
-
-# --------------------------------------------------------------------------
 # Counters and observability wiring.
 # --------------------------------------------------------------------------
 
@@ -427,11 +268,11 @@ class TestCounters:
     def test_collect_stats_exposes_analysis_section(self):
         from repro.observability.stats import collect_stats
 
-        bump_analysis_counter("writeset_verified")
+        bump_analysis_counter("races_certified")
         section = collect_stats()["analysis"]
-        assert section["writeset_verified"] == 1
-        assert {"writeset_rejected", "races_certified", "races_flagged",
-                "lint_findings"} <= set(section)
+        assert section["races_certified"] == 1
+        assert {"races_certified", "races_flagged", "lint_findings",
+                "lockorder_certified", "sync_certified"} <= set(section)
 
 
 # --------------------------------------------------------------------------
@@ -482,31 +323,14 @@ class TestAnalyzeCLI:
                          str(FIXTURES / "bad_r001.py")]) == 2
         assert "no trace JSONs" in capsys.readouterr().err
 
-    def test_artifact_verification(self, artifact, tmp_path, capsys):
-        good = tmp_path / "good.npz"
-        save_compiled_artifact(artifact, good)
-        assert cli_main(["analyze", "--strict", "--artifact", str(good),
-                         str(REPO_ROOT / "src" / "repro")]) == 0
-        assert "write sets verified" in capsys.readouterr().out
-
-        bad = tmp_path / "bad.npz"
-        save_compiled_artifact(_overlap_near(artifact), bad)
-        assert cli_main(["analyze", "--strict", "--artifact", str(bad),
-                         str(REPO_ROOT / "src" / "repro")]) == 1
-        assert "single-writer" in capsys.readouterr().err
-
-    def test_json_doc_records_extras(self, clean_trace, artifact,
-                                     tmp_path):
+    def test_json_doc_records_extras(self, clean_trace, tmp_path):
         save_trace(clean_trace, tmp_path / "t.json")
-        npz = tmp_path / "art.npz"
-        save_compiled_artifact(artifact, npz)
         out_json = tmp_path / "doc.json"
         assert cli_main(["analyze", "--json", str(out_json),
-                         "--races", str(tmp_path), "--artifact", str(npz),
+                         "--races", str(tmp_path),
                          str(FIXTURES / "bad_r001.py")]) == 0
         doc = json.loads(out_json.read_text())
         assert doc["races"] == {"traces": 1, "violations": 0}
-        assert doc["artifact"]["verified"] is True
         assert doc["unwaived"] == 1
 
 

@@ -36,17 +36,17 @@ from repro.core.io import (
     load_tuning_profile,
     save_tuning_profile,
 )
+from repro.host import host_key, host_signature
 from repro.tuning import (
     Autotuner,
     TuningProfile,
     hmatrix_fingerprint,
-    host_signature,
     policy_from_knobs,
     policy_knobs,
     tune,
     width_bucket,
 )
-from repro.tuning.profile import host_key, policy_pins
+from repro.tuning.profile import policy_pins
 
 PLAN_32 = PlanConfig(leaf_size=32, bacc=1e-6, p=4, seed=0)
 
@@ -175,6 +175,36 @@ class TestProfileRecord:
 # Tuning runs: priors, measurement, pins, counters.
 # --------------------------------------------------------------------------
 
+#: The grids the candidate-backend registry returned for the
+#: ``hmatrix_2d`` plan before the fused order was retired, keyed
+#: "<cpus>:<q>". The fixed grid must return them minus that order.
+REGISTRY_GRIDS = {
+    "1:1": [{"order": "batched"}, {"order": "original"},
+            {"order": "compiled"}],
+    "1:32": [{"order": "batched"}, {"order": "original"}],
+    "1:512": [{"order": "batched"}, {"order": "batched", "q_chunk": 512},
+              {"order": "original"}],
+    "2:1": [{"order": "batched"}, {"order": "original"},
+            {"num_threads": 2, "order": "original"}, {"order": "compiled"}],
+    "2:32": [{"order": "batched"}, {"order": "original"},
+             {"num_threads": 2, "order": "original"}],
+    "2:512": [{"order": "batched"}, {"order": "batched", "q_chunk": 512},
+              {"order": "original"}, {"num_threads": 2, "order": "original"},
+              {"backend": "process", "num_workers": 2, "order": "batched"}],
+}
+
+
+class TestCandidateGrid:
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("q", [1, 32, 512])
+    def test_grid_is_the_registry_grid_minus_the_fused_order(
+            self, hmatrix_2d, cpus, q):
+        want = [knobs for knobs in REGISTRY_GRIDS[f"{cpus}:{q}"]
+                if knobs != {"order": "compiled"}]
+        tuner = Autotuner(host={"cpus": cpus})
+        assert tuner.candidate_policies(hmatrix_2d, q) == want
+
+
 class TestAutotuner:
     def test_prior_shortcut_below_measurement_floor(self, H):
         tuner = make_tuner(min_measured_flops=float("inf"))
@@ -294,7 +324,7 @@ class TestAutotuner:
         store = PlanStore(tmp_path)
         prof = tune(H, q=8, store=store, reps=1)
         assert isinstance(prof, TuningProfile)
-        assert store.get_profile(prof.key) == prof.to_dict()
+        assert store.get("profile", prof.key) == prof.to_dict()
 
 
 # --------------------------------------------------------------------------
@@ -321,11 +351,57 @@ class TestProfilePersistence:
         # overwrite with a version-skewed doc: valid artifact, stale schema
         doc = prof.to_dict()
         doc["version"] = 999
-        store.put_profile(prof.key, doc)
+        store.put("profile", prof.key, doc)
         store.clear_memory()
         warm = make_tuner(store=store)
         warm.profile_for(H, 8, ExecutionPolicy(order="auto"))
         assert warm.stats.tunes == 1          # skew = re-tune, not error
+
+    def test_stored_retired_order_profile_retunes_once(self, H, tmp_path):
+        """A profile stored by a build that still had the fused
+        "compiled" order names a winner this build cannot run: it is a
+        miss that re-tunes once (never served, never raised), and the
+        re-persisted profile replays."""
+        auto = ExecutionPolicy(order="auto")
+        prof = make_tuner(store=PlanStore(tmp_path)).profile_for(H, 8, auto)
+        retired = {"order": "compiled"}
+        doc = prof.to_dict()
+        doc["policy"] = dict(retired)
+        doc["candidates"] = [{"policy": dict(retired), "seconds": 1e-6,
+                              "measured": True}, *doc["candidates"]]
+        PlanStore(tmp_path).put("profile", prof.key, doc)
+
+        fresh = make_tuner(store=PlanStore(tmp_path))
+        pol = fresh.resolve(H, 8, auto)
+        assert fresh.stats.tunes == 1
+        assert fresh.stats.store_hits == 0
+        assert pol.order in ("batched", "original")
+
+        replay = make_tuner(store=PlanStore(tmp_path))
+        assert replay.resolve(H, 8, auto) == pol
+        assert replay.stats.tunes == 0
+        assert replay.stats.store_hits == 1
+
+    def test_host_signature_change_misses_and_like_host_replays(
+            self, H, tmp_path, monkeypatch):
+        """Profiles key off repro.host's signature: a like host replays
+        a stored profile, a moved signature (new BLAS vendor) misses."""
+        store = PlanStore(tmp_path)
+        auto = ExecutionPolicy(order="auto")
+        h1 = host_signature()
+        make_tuner(store=store, host=h1).profile_for(H, 4, auto)
+
+        store.clear_memory()
+        like = make_tuner(store=store, host=h1)
+        like.profile_for(H, 4, auto)
+        assert like.stats.tunes == 0 and like.stats.store_hits == 1
+
+        monkeypatch.setattr("repro.host._blas_vendor", lambda: "other-blas")
+        h2 = host_signature()
+        assert host_key(h2) != host_key(h1)
+        moved = make_tuner(store=store, host=h2)
+        moved.profile_for(H, 4, auto)
+        assert moved.stats.tunes == 1 and moved.stats.store_hits == 0
 
     def test_session_persists_profiles(self, points_2d, tmp_path):
         auto = ExecutionPolicy(order="auto")
