@@ -60,7 +60,7 @@ from repro.analysis.races import (
     load_trace,
     save_trace,
     seed_overlap_violation,
-    trace_from_plans,
+    trace_from_tables,
 )
 from repro.analysis.structure_sets import BlockSet, CoarsenLevel, CoarsenSet, SubTree
 
@@ -103,5 +103,5 @@ __all__ = [
     "schedule_footprint",
     "seed_overlap_violation",
     "seed_unordered_pair",
-    "trace_from_plans",
+    "trace_from_tables",
 ]

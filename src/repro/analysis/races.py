@@ -7,12 +7,13 @@ and whole far output nodes; leaves are disjoint). Tests sample that
 invariant; this module **certifies** it per engine instance, in the
 CSST style (partial-order analysis of a concurrent execution's trace):
 
-1. *Recording*: :func:`trace_from_plans` turns an engine's shard plans
-   into an access trace — for every worker and every barrier phase, the
-   (array, row-interval, read/write) accesses it will perform. The
-   trace is exact, not sampled: workers execute precisely the panels in
-   their plan, every call, so the static per-plan trace covers every
-   dynamic execution of that engine.
+1. *Recording*: :func:`trace_from_tables` turns the table entries each
+   worker runs (its share of the batched program's tables) into an
+   access trace — for every worker and every barrier phase, the (array,
+   row-interval, read/write) accesses it will perform. The trace is
+   exact, not sampled: workers run precisely those entries, every call,
+   so the static per-shard trace covers every dynamic execution of that
+   engine.
 2. *Happens-before*: the 3-phase barrier protocol totally orders the
    master's steps against the workers' phases::
 
@@ -39,8 +40,10 @@ flag, proving the checker itself is live.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from repro.analysis.counters import bump_analysis_counter
 
@@ -53,7 +56,7 @@ __all__ = [
     "load_trace",
     "save_trace",
     "seed_overlap_violation",
-    "trace_from_plans",
+    "trace_from_tables",
 ]
 
 #: Format version of the serialized trace document.
@@ -100,18 +103,30 @@ def _access(actor: str, step: int, array: str, mode: str,
     return (actor, step, array, mode, int(start), int(stop))
 
 
-def trace_from_plans(plans, *, n: int, rank_rows: int, num_workers: int,
-                     calls: int = 0, chunks: int = 0) -> dict:
-    """Build the access trace of an engine from its shard plans.
+def _row_runs(rows) -> list[tuple[int, int]]:
+    """The rows of an index array as maximal ``[lo, hi)`` intervals."""
+    rows = np.unique(np.asarray(rows))
+    if not rows.size:
+        return []
+    cuts = np.flatnonzero(np.diff(rows) != 1) + 1
+    return [(int(run[0]), int(run[-1]) + 1) for run in np.split(rows, cuts)]
 
-    ``plans`` are :class:`~repro.core.parallel._ShardPlan`-shaped objects
-    (duck-typed: ``wid``/``near_groups``/``near_pairs``/``point_rows``/
-    ``far_pairs``/``skel_rows``/``leaf_specs``). A near super-row is one
-    panel: a wide product writes all its rows with one GEMM, so its Y
-    write is the group's whole row range. The master's interior-level
-    work is recorded coarsely (whole-array intervals at its own steps) —
-    the barriers totally order it against every worker, so coarseness
-    can never mask a race, only document the model.
+
+def trace_from_tables(shards, *, n: int, rank_rows: int, num_workers: int,
+                      calls: int = 0, chunks: int = 0) -> dict:
+    """Build the access trace of an engine from its workers' tables.
+
+    ``shards[w]`` is the :class:`~repro.codegen.emit.BatchedTables`
+    worker ``w`` runs. A near super-row is one panel: a wide product
+    writes all its rows with one GEMM, so its Y write is the panel's
+    whole row range, and it reads the W rows of its gather runs. A tree
+    bucket reads its gather rows and writes its own skeleton rows of T
+    upward (phase 1), and the transpose downward (phase 3); a coupling
+    stack writes its output rows of S and reads its operand rows of T
+    (phase 2). The master's interior-level work is recorded coarsely
+    (whole-array intervals at its own steps) — the barriers totally
+    order it against every worker, so coarseness can never mask a race,
+    only document the model.
     """
     accesses: set[tuple] = set()
     accesses.add(_access("master", 0, "W", "write", 0, n))
@@ -122,26 +137,25 @@ def trace_from_plans(plans, *, n: int, rank_rows: int, num_workers: int,
     accesses.add(_access("master", 4, "S", "read", 0, rank_rows))
     accesses.add(_access("master", 4, "S", "write", 0, rank_rows))
     accesses.add(_access("master", 6, "Y", "read", 0, n))
-    for plan in plans:
-        actor = f"worker{plan.wid}"
-        for group in plan.near_groups:
-            accesses.add(_access(actor, 1, "Y", "write",
-                                 plan.point_rows[group[0]][0],
-                                 plan.point_rows[group[-1]][1]))
-        for (_i, j) in plan.near_pairs:
-            accesses.add(_access(actor, 1, "W", "read",
-                                 *plan.point_rows[j]))
-        for (_off, rows, cols, start, t0) in plan.leaf_specs:
-            accesses.add(_access(actor, 1, "W", "read", start, start + rows))
-            accesses.add(_access(actor, 1, "T", "write", t0, t0 + cols))
-            accesses.add(_access(actor, 5, "S", "read", t0, t0 + cols))
-            accesses.add(_access(actor, 5, "Y", "write",
-                                 start, start + rows))
-        for (i, j) in plan.far_pairs:
-            accesses.add(_access(actor, 3, "S", "write",
-                                 *plan.skel_rows[i]))
-            accesses.add(_access(actor, 3, "T", "read",
-                                 *plan.skel_rows[j]))
+    for wid, tables in enumerate(shards):
+        actor = f"worker{wid}"
+
+        def add(step, array, mode, runs, actor=actor):
+            for lo, hi in runs:
+                accesses.add(_access(actor, step, array, mode, lo, hi))
+
+        for _panel, runs, _k, si, ei, _slices in tables.near:
+            add(1, "Y", "write", [(si, ei)])
+            add(1, "W", "read", runs)
+        for level in tables.levels:
+            for _G, _GT, gather, _flat, own, _own2d, from_w in level:
+                add(1, "W" if from_w else "T", "read", _row_runs(gather))
+                add(1, "T", "write", _row_runs(own))
+                add(5, "S", "read", _row_runs(own))
+                add(5, "Y" if from_w else "S", "write", _row_runs(gather))
+        for _P, idx, rows in tables.far:
+            add(3, "S", "write", _row_runs(rows))
+            add(3, "T", "read", _row_runs(idx))
     return {
         "trace_version": TRACE_VERSION,
         "n": int(n),

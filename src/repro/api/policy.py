@@ -38,7 +38,7 @@ DEFAULT_Q_CHUNK = 256
 #: ``"auto"`` defers the choice to the profile-guided autotuner
 #: (:mod:`repro.tuning`): it resolves to one of the concrete orders (and a
 #: backend/thread/worker/q_chunk setting) before any evaluator runs.
-VALID_ORDERS = ("batched", "original", "tree", "auto")
+VALID_ORDERS = ("batched", "original", "auto")
 
 #: The execution backends an :class:`ExecutionPolicy` may request.
 VALID_BACKENDS = ("thread", "process")
@@ -84,9 +84,7 @@ class ExecutionPolicy:
         engine, falling back to the per-block code when the cost model
         rejected batch lowering; ``"original"`` forces the per-block
         code; both treat W rows as being in the user's input point
-        order.
-        ``"tree"`` skips the permutations (internal/benchmark use).
-        ``"auto"`` resolves through the profile-guided autotuner
+        order. ``"auto"`` resolves through the profile-guided autotuner
         (:mod:`repro.tuning`) at evaluation time: a
         :class:`~repro.tuning.TuningProfile` keyed by HMatrix
         fingerprint x RHS-width bucket x host signature picks the
@@ -95,14 +93,15 @@ class ExecutionPolicy:
         only chooses among candidates that honor them.
     backend:
         ``"thread"`` (default) runs in-process, optionally over a thread
-        pool. ``"process"`` shards the batched engine's CDS row panels
-        across a pool of worker processes with the CDS buffers mapped via
+        pool. ``"process"`` deals the batched engine's table entries
+        (near super-row panels, coupling-stack and leaf-bucket members)
+        across a pool of worker processes, with W/Y/T/S shared via
         ``multiprocessing.shared_memory`` (see
         :mod:`repro.core.parallel` and DESIGN.md section 7); results are
         bit-identical to the serial batched engine (< 1e-12 on matrices
         where the cost model rejected batch lowering). The backend
-        applies to the batched/tree orders; ``order="original"`` names
-        the per-block code explicitly and always runs in-process.
+        applies to the batched order; ``order="original"`` names the
+        per-block code explicitly and always runs in-process.
     num_threads:
         Worker threads for the per-block code path. ``None`` or 1 runs
         serially. NumPy's BLAS releases the GIL inside GEMM, so block tasks

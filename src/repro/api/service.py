@@ -42,6 +42,7 @@ from repro.api.plan import PlanConfig
 from repro.api.policy import ExecutionPolicy
 from repro.api.session import Session
 from repro.observability.sync import make_condition, make_lock
+from repro.utils.validation import check_finite
 
 if TYPE_CHECKING:  # annotation-only: the session owns the store import
     from repro.api.store import PlanStore
@@ -228,8 +229,10 @@ class KernelService:
     def submit(self, points_id: str, W: Any) -> Future[Any]:
         """Enqueue ``Y = K[points_id] @ W``; returns a Future of Y.
 
-        Safe from any thread. Shape errors raise immediately (here, not
-        in the Future); execution errors surface through the Future.
+        Safe from any thread. Shape errors and non-finite entries raise
+        ``ValueError`` immediately (here, not in the Future), before the
+        request is queued, so one bad panel never fails a micro-batch of
+        others; execution errors surface through the Future.
         """
         ep = self._endpoints.get(points_id)
         if ep is None:
@@ -247,6 +250,7 @@ class KernelService:
             raise ValueError(
                 f"W must have {ep.n} rows for {points_id!r}, got shape "
                 f"{W.shape}")
+        check_finite(W)
         item = _Pending(points_id, ep, W, W.shape[1], squeeze, Future(),
                         time.perf_counter())
         with self._cv:

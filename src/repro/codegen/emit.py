@@ -10,12 +10,18 @@ whether the root iteration is peeled are all baked into the source.
 The generated callable computes ``Y += K~ @ W`` in tree order and can run
 serially or over a thread pool (NumPy's BLAS releases the GIL inside GEMMs,
 so block/sub-tree tasks genuinely overlap).
+
+``generate_batched_evaluator`` needs no source: its program is four plain
+loop functions (:func:`near_pass`, :func:`up_pass`, :func:`far_pass`,
+:func:`down_pass`) over one :class:`BatchedTables` built per plan, the
+same functions a process worker runs over its share of the entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from collections.abc import Callable
+from functools import partial
 
 import numpy as np
 
@@ -40,8 +46,10 @@ def _run_parallel(pool, fn, items):
 
 @dataclass
 class GeneratedEvaluator:
-    """A compiled, specialized HMatrix-matrix multiplication.
+    """A specialized HMatrix-matrix multiplication.
 
+    The per-block evaluator runs compiled ``source``; the batched one
+    runs :func:`run_batched` over its ``tables`` and has no source.
     ``q_chunk`` (when set) streams right-hand sides through the generated
     code in column panels of at most that width, so the W/Y/T/S panels of
     one pass stay cache-resident for arbitrarily wide Q (the batched
@@ -54,6 +62,7 @@ class GeneratedEvaluator:
     _fn: Callable = field(repr=False, default=None)
     name: str = "hmatmul"
     q_chunk: int | None = None
+    tables: BatchedTables | None = field(default=None, repr=False)
 
     def __call__(self, W: np.ndarray, pool=None) -> np.ndarray:
         """Evaluate ``Y = K~ W`` (tree order). W: (N, Q) or (N,)."""
@@ -344,17 +353,19 @@ def generate_evaluator(
 
 
 # --------------------------------------------------------------------------
-# Batched (bucketed batched-GEMM) emission.
+# The batched program.
 #
 # The reduction loops (near, coupling) lower to *row panels*: all blocks
 # written by one row group concatenate into one wide generator panel, so
 # the group's whole reduction is a single 2-D GEMM against gathered
 # operand rows, scattered back by a plain slice add (single writer, no
-# atomics, no ``np.add.at``). Coupling panels hold one output node each;
-# near panels are *super-rows* of sibling leaves (see ``_super_rows``).
-# The tree loops lower to *stacked GEMMs* over the CDS shape buckets, one
-# ``np.matmul`` per (level, role, shape) group. Either way the per-block
-# interpreter dispatch leaves the critical path.
+# atomics, no ``np.add.at``). Coupling panels hold one output node each
+# and run as same-shape stacks; near panels are *super-rows* of sibling
+# leaves (see ``_super_rows``). The tree loops lower to *stacked GEMMs*
+# over the CDS shape buckets, one ``np.matmul`` per (level, role, shape)
+# group. The tables are built once per plan (:class:`BatchedTables`) and
+# run by four loop functions, in the serial engine and, each over its
+# share of the entries, in every process worker.
 # --------------------------------------------------------------------------
 
 #: Right-hand sides at least this many columns wide run one GEMM per
@@ -454,13 +465,17 @@ def _row_panel_tables(pairs, ranges, buf, offsets, groups=None):
                     o = offsets[(i, j)]
                     panel[r0:r1, c:c + w] = (
                         buf[o:o + (r1 - r0) * w].reshape(r1 - r0, w))
-        slices = tuple(
-            (panel[ranges[i][0] - si:ranges[i][1] - si],
-             ranges[i][0], ranges[i][1])
-            for i in group
-        )
-        table.append((panel, runs, k, si, ei, slices))
+        table.append(_panel_entry(panel, runs, si, ei,
+                                  [ranges[i] for i in group]))
     return tuple(table)
+
+
+def _panel_entry(panel, runs, si, ei, bounds):
+    """A row panel entry ``(panel, runs, k, si, ei, slices)`` whose
+    narrow-path slices are bound as views of ``panel``, one per
+    ``[a, b)`` row range in ``bounds``."""
+    return (panel, runs, panel.shape[1], si, ei,
+            tuple((panel[a - si:b - si], a, b) for a, b in bounds))
 
 
 def _super_rows(cds: CDSMatrix) -> list[tuple[int, ...]]:
@@ -524,32 +539,41 @@ def _rank_offsets(cds: CDSMatrix) -> tuple[dict[int, int], int]:
     return off, total
 
 
-def _batched_tree_tables(cds: CDSMatrix, toff: dict[int, int]):
-    """Upward/downward level tables over the basis shape buckets.
+def _tree_bucket(G, gather, own, from_w):
+    """One basis bucket of the tree loops, with its views bound.
 
-    Upward entries are ``(G^T stack, gather, t_rows, from_w)`` executing
-    ``T[t_rows] = (G^T @ src[gather]).reshape(-1, Q)``; downward entries
-    are ``(G stack, s_rows, scatter, to_y)`` executing the transpose.
-    Interior transfers read/write the children's skeleton rows in lc-then-rc
-    order, which keeps a bucket well-shaped even when the lc/rc rank split
-    differs between its members.
+    ``G`` is the bucket's ``g×rows×cols`` generator stack, ``gather`` the
+    ``g×rows`` source rows of its members (W rows for a leaf bucket, the
+    children's skeleton rows of T in lc-then-rc order for an interior
+    one) and ``own`` the ``g·cols`` skeleton rows it owns. The upward
+    pass runs ``T[own] = (G^T @ src[gather]).reshape(-1, Q)`` through a
+    transposed *view* of the stack (np.matmul lowers it to BLAS transpose
+    flags, so the generators are stored once); the downward pass runs
+    the transpose, ``dst[gather] += (G @ S[own]).reshape(-1, Q)``.
+    Returns ``(G, G^T, gather, gather flat, own, own per member, from_w)``.
+    """
+    return (G, G.transpose(0, 2, 1), gather, gather.ravel(), own,
+            own.reshape(len(G), -1), from_w)
+
+
+def _batched_tree_tables(cds: CDSMatrix, toff: dict[int, int]):
+    """Tree-loop levels over the basis shape buckets, deepest level first
+    (:func:`_tree_bucket`). The upward pass runs them in order, the
+    downward pass in reverse. Interior transfers read the children's
+    skeleton rows in lc-then-rc order, which keeps a bucket well-shaped
+    even when the lc/rc rank split differs between its members.
     """
     t = cds.tree
     srank = cds.factors.srank
-    up_levels = []
-    down_levels = []
+    levels = []
     for level in cds.basis_level_buckets():
-        ups, downs = [], []
+        buckets = []
         for bucket in level:
-            G = bucket.gather(cds.basis_buf)
-            # Transposed *view* of the same stack (np.matmul lowers it to
-            # BLAS transpose flags) — the generators are stored once.
-            GT = G.transpose(0, 2, 1)
-            if bucket.kind == "leaf":
+            leaf = bucket.kind == "leaf"
+            if leaf:
                 gather = np.stack([
                     np.arange(t.start[v], t.stop[v]) for v in bucket.keys
                 ])
-                from_w = True
             else:
                 gather = np.stack([
                     np.concatenate([
@@ -560,18 +584,13 @@ def _batched_tree_tables(cds: CDSMatrix, toff: dict[int, int]):
                     ])
                     for v in bucket.keys
                 ])
-                from_w = False
             own = np.concatenate([
                 toff[v] + np.arange(srank(v)) for v in bucket.keys
             ])
-            ups.append((GT, gather, own, from_w))
-            # Downward: same bucket transposed — read own rows, scatter to
-            # the gather rows (W rows become Y rows, child T rows S rows).
-            own2d = own.reshape(bucket.batch, -1)
-            downs.append((G, own2d, gather.ravel(), from_w))
-        up_levels.append(tuple(ups))
-        down_levels.append(tuple(downs))
-    return tuple(up_levels), tuple(reversed(down_levels))
+            buckets.append(_tree_bucket(bucket.gather(cds.basis_buf),
+                                        gather, own, leaf))
+        levels.append(tuple(buckets))
+    return tuple(levels)
 
 
 def _stacked_panels(panels):
@@ -617,29 +636,65 @@ def _batched_far_tables(cds: CDSMatrix, toff: dict[int, int]):
         cds.far_visit_order(), ranges, cds.far_buf, cds.far_offset))
 
 
-_BATCHED_SOURCE = '''\
-def {name}(W, Y, pool=None):
-    """Generated batched HMatrix-matrix multiplication (tree order).
+@dataclass
+class BatchedTables:
+    """The batched program's tables, built once per plan.
 
-    Lowering: near=super-row panels, coupling=stacked GEMMs over the
-    panel shapes, tree=batched stacked GEMMs over the CDS shape buckets.
-    The pool argument is accepted for interface parity and ignored: the
-    fat kernels already saturate BLAS without task-level threading.
+    ``near`` holds the super-row panels ``(panel, runs, k, si, ei,
+    slices)`` (:func:`_row_panel_tables`), ``levels`` the tree loops'
+    basis buckets per level (:func:`_tree_bucket`) and ``far`` the
+    coupling stacks ``(P, idx, rows)`` (:func:`_stacked_panels`).
+    ``rank_rows`` is the height of the T/S skeleton panels. The serial
+    engine runs every entry (:func:`run_batched`); a process worker runs
+    a ``BatchedTables`` holding its share of them (DESIGN.md section 7).
     """
-    Q = W.shape[1]
-    if Q == 0:
-        return Y
-    T = np.empty((RANK_ROWS, Q))
-    S = np.zeros((RANK_ROWS, Q))
-    buf = np.empty((MAX_K, Q))
 
-    # Near loop: one row panel per super-row. A single writer owns each
-    # output range, so the update is a plain slice add; a single-run
-    # gather is a view of W, scattered gathers copy their few contiguous
-    # runs into the shared buffer once per panel. Wide products run one
-    # GEMM per panel, narrow ones one GEMM per leaf-row slice of it.
-    wide = Q >= WIDE_Q_MIN
-    for panel, runs, k, si, ei, slices in NEAR_PANELS:
+    rank_rows: int
+    near: tuple = ()
+    levels: tuple = ()
+    far: tuple = ()
+    #: Rows of the near loop's gather buffer (its widest gathered panel).
+    max_k: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.max_k = max((e[2] for e in self.near if len(e[1]) > 1),
+                         default=1)
+
+    def __reduce__(self):
+        # Pickling copies each array it meets on its own, so a row slice
+        # or a transposed stack would come back as a separate copy in a
+        # new layout: ship the bases and bind the views again on load.
+        near = tuple(
+            (panel, runs, si, ei, tuple((a, b) for _rows, a, b in slices))
+            for panel, runs, _k, si, ei, slices in self.near)
+        levels = tuple(
+            tuple((G, gather, own, from_w)
+                  for G, _GT, gather, _flat, own, _own2d, from_w in level)
+            for level in self.levels)
+        return (_bind_tables, (self.rank_rows, near, levels, self.far))
+
+
+def _bind_tables(rank_rows, near, levels, far) -> BatchedTables:
+    """Unpickle :class:`BatchedTables`, binding its views again."""
+    return BatchedTables(
+        rank_rows,
+        near=tuple(_panel_entry(*e) for e in near),
+        levels=tuple(tuple(_tree_bucket(*b) for b in level)
+                     for level in levels),
+        far=far)
+
+
+def near_pass(panels, W, Y, buf) -> None:
+    """Near loop: one row panel per super-row, ``Y += D @ W``.
+
+    A single writer owns each output range, so the update is a plain
+    slice add; a single-run gather is a view of W, scattered gathers copy
+    their few contiguous runs into ``buf`` (at least ``max_k`` rows, Q
+    columns) once per panel. Wide products run one GEMM per panel,
+    narrow ones one GEMM per leaf-row slice of it.
+    """
+    wide = W.shape[1] >= WIDE_Q_MIN
+    for panel, runs, k, si, ei, slices in panels:
         if len(runs) == 1:
             opnd = W[runs[0][0]:runs[0][1]]
         else:
@@ -654,29 +709,65 @@ def {name}(W, Y, pool=None):
             for rows, a, b in slices:
                 Y[a:b] += rows @ opnd
 
-    # Upward pass: levels bottom-up; inside a level every bucket is one
-    # stacked GEMM writing disjoint skeleton rows of T.
-    for level in UP_LEVELS:
-        for GT, gather, t_rows, from_w in level:
+
+def up_pass(levels, W, T) -> None:
+    """Upward pass: levels bottom-up; inside a level every bucket is one
+    stacked GEMM writing disjoint skeleton rows of T."""
+    q = W.shape[1]
+    for level in levels:
+        for _G, GT, gather, _flat, own, _own2d, from_w in level:
             src = W if from_w else T
-            T[t_rows] = np.matmul(GT, src[gather]).reshape(-1, Q)
+            T[own] = np.matmul(GT, src[gather]).reshape(-1, q)
 
-    # Coupling loop: one stacked GEMM per panel shape (one output node
-    # per panel, disjoint rows), reducing into the S panel.
-    for P, idx, rows in FAR_STACKS:
-        S[rows] += np.matmul(P, T[idx]).reshape(-1, Q)
 
-    # Downward pass: levels top-down; leaf buckets scatter into Y rows,
-    # interior buckets into the children's S rows (disjoint per level).
-    for level in DOWN_LEVELS:
-        for G, s_rows, scatter, to_y in level:
-            P = np.matmul(G, S[s_rows]).reshape(-1, Q)
+def far_pass(stacks, T, S) -> None:
+    """Coupling loop: one stacked GEMM per panel shape (one output node
+    per panel, disjoint rows), reducing into the S panel."""
+    q = T.shape[1]
+    for P, idx, rows in stacks:
+        S[rows] += np.matmul(P, T[idx]).reshape(-1, q)
+
+
+def down_pass(levels, S, Y) -> None:
+    """Downward pass: levels top-down; leaf buckets scatter into Y rows,
+    interior buckets into the children's S rows (disjoint per level)."""
+    q = S.shape[1]
+    for level in reversed(levels):
+        for G, _GT, _gather, flat, _own, own2d, to_y in level:
+            P = np.matmul(G, S[own2d]).reshape(-1, q)
             if to_y:
-                Y[scatter] += P
+                Y[flat] += P
             else:
-                S[scatter] += P
+                S[flat] += P
+
+
+def run_batched(tables: BatchedTables, W, Y, pool=None):
+    """The batched product ``Y += K~ @ W`` in tree order, in one process.
+
+    ``pool`` is accepted for interface parity and ignored: the fat
+    kernels already saturate BLAS without task-level threading.
+    """
+    q = W.shape[1]
+    if q == 0:
+        return Y
+    T = np.empty((tables.rank_rows, q))
+    S = np.zeros((tables.rank_rows, q))
+    near_pass(tables.near, W, Y, np.empty((tables.max_k, q)))
+    up_pass(tables.levels, W, T)
+    far_pass(tables.far, T, S)
+    down_pass(tables.levels, S, Y)
     return Y
-'''
+
+
+def build_batched_tables(cds: CDSMatrix) -> BatchedTables:
+    """Build the batched program's tables for ``cds``."""
+    toff, rank_rows = _rank_offsets(cds)
+    return BatchedTables(
+        rank_rows,
+        near=_batched_near_tables(cds),
+        levels=_batched_tree_tables(cds, toff),
+        far=_batched_far_tables(cds, toff),
+    )
 
 
 def generate_batched_evaluator(
@@ -686,45 +777,31 @@ def generate_batched_evaluator(
     q_chunk: int | None = 256,
     name: str = "hmatmul_batched",
 ) -> GeneratedEvaluator:
-    """Compile the bucketed batched-GEMM evaluator for ``cds``.
+    """Build the bucketed batched-GEMM evaluator for ``cds``.
 
     The returned evaluator computes exactly what :func:`generate_evaluator`
-    computes, but executes one stacked ``np.matmul`` per shape bucket.
+    computes, but runs :func:`run_batched` over the plan's
+    :class:`BatchedTables`. ``decision`` is the plan's lowering decision
+    (``H.evaluator.decision``), recorded with the batch lowering on top;
+    without one, the IR is built and decided with default thresholds.
     ``q_chunk`` bounds the panel width of one pass (``None`` disables
     streaming and runs any Q in a single pass).
     """
     from repro.codegen.ir import build_ir
     from repro.codegen.lowering import decide_lowering, lower_batched
 
-    if ir is None:
-        ir = build_ir(
-            cds.factors,
-            coarsenset=cds.coarsenset,
-            near_blockset=cds.near_blockset,
-            far_blockset=cds.far_blockset,
-        )
     if decision is None:
+        if ir is None:
+            ir = build_ir(
+                cds.factors,
+                coarsenset=cds.coarsenset,
+                near_blockset=cds.near_blockset,
+                far_blockset=cds.far_blockset,
+            )
         decision = decide_lowering(ir)
-    decision = lower_batched(ir, decision)
-
-    toff, rank_rows = _rank_offsets(cds)
-    up_levels, down_levels = _batched_tree_tables(cds, toff)
-    near_panels = _batched_near_tables(cds)
-    max_k = max((e[2] for e in near_panels if len(e[1]) > 1), default=1)
-    env = {
-        "np": np,
-        "RANK_ROWS": rank_rows,
-        "MAX_K": max(max_k, 1),
-        "NEAR_PANELS": near_panels,
-        "FAR_STACKS": _batched_far_tables(cds, toff),
-        "WIDE_Q_MIN": WIDE_Q_MIN,
-        "UP_LEVELS": up_levels,
-        "DOWN_LEVELS": down_levels,
-    }
-    source = _BATCHED_SOURCE.format(name=name)
-    code = compile(source, filename=f"<matrox-generated:{name}>", mode="exec")
-    exec(code, env)
+    tables = build_batched_tables(cds)
     return GeneratedEvaluator(
-        source=source, decision=decision, cds=cds, _fn=env[name], name=name,
-        q_chunk=q_chunk,
+        source="", decision=lower_batched(ir, decision), cds=cds,
+        _fn=partial(run_batched, tables), name=name, q_chunk=q_chunk,
+        tables=tables,
     )

@@ -7,13 +7,15 @@ levels than ``coarsen_threshold`` (default 4). Root peeling (the low-level
 transform) applies whenever coarsen lowering does and the top of the tree
 has too little task parallelism.
 
-Batch lowering (``lowered_to="batched"``) rewrites every loop to execute
-one stacked GEMM per CDS shape bucket instead of one small GEMM per
-iteration, eliminating the per-block dispatch overhead of the interpreted
-executor. Its cost-model gate is *bucket occupancy*: batching only pays
-when the mean number of same-shape generators per bucket reaches
-``batch_threshold`` (default 2), otherwise the gather/scatter traffic buys
-no kernel-launch amortisation.
+Batch lowering (``lowered_to="batched"``) rewrites every loop to fuse its
+small GEMMs: the reduction loops run one GEMM per row panel (a near
+super-row, or one coupling output node, stacked by shape) and the tree
+loops one stacked GEMM per basis shape bucket, eliminating the per-block
+dispatch overhead of the interpreted executor. Its cost-model gate is
+*fusion occupancy* (:func:`batch_occupancy`): batching only pays when the
+mean number of GEMMs fused per kernel reaches ``batch_threshold``
+(default 2), otherwise the gather/scatter traffic buys no kernel-launch
+amortisation.
 """
 
 from __future__ import annotations
@@ -69,10 +71,13 @@ def batch_occupancy(ir: EvaluationIR) -> float:
     return gemms / kernels if kernels else 0.0
 
 
-def lower_batched(ir: EvaluationIR, base: LoweringDecision) -> LoweringDecision:
-    """Rewrite all four loop annotations to the batched lowering."""
-    for name in ("near", "upward", "coupling", "downward"):
-        ir.loop(name).lowered_to = "batched"
+def lower_batched(ir: EvaluationIR | None,
+                  base: LoweringDecision) -> LoweringDecision:
+    """``base`` with the batch lowering recorded on top; the IR's four
+    loop annotations (when an IR is given) are rewritten to match."""
+    if ir is not None:
+        for name in ("near", "upward", "coupling", "downward"):
+            ir.loop(name).lowered_to = "batched"
     return replace(
         base,
         batch=True,
@@ -133,7 +138,7 @@ def decide_lowering(
 
     # Batch gate: is a bucketed batched-GEMM executor worth compiling?
     # (The standard lowering annotations below are unaffected — the batched
-    # evaluator is a separate compiled artifact; see ``lower_batched``.)
+    # evaluator records this decision with ``lower_batched`` on top.)
     occupancy = batch_occupancy(ir)
     batch = occupancy >= batch_threshold
     reasons.append(

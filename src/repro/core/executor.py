@@ -93,9 +93,10 @@ class Executor:
         # executor. The identity is weakref-guarded: each entry carries a
         # finalizer that evicts (and closes) it the moment its HMatrix is
         # collected, so a recycled id can never alias another matrix's
-        # engine. Bounded: each engine pins worker processes and a
-        # shared-memory CDS copy, so an unbounded map would defeat a
-        # Session's HMatrix LRU in long-lived serving use.
+        # engine. Bounded: each engine pins worker processes, their
+        # share of the batched tables and shared-memory scratch, so an
+        # unbounded map would defeat a Session's HMatrix LRU in
+        # long-lived serving use.
         self._engines: dict = {}
         self._max_engines = 4
         self._store = store
@@ -200,7 +201,7 @@ class Executor:
             # The process engine implements the batched lowering only;
             # order="original" explicitly asks for the per-block code, so
             # it wins over the backend and runs in-process.
-            return self.engine_for(H, pol).matmul(W, order=pol.order)
+            return self.engine_for(H, pol).matmul(W)
         if self._pool is None and pol.num_threads and pol.num_threads > 1:
             # Per-call thread request on a pool-less executor: honor it
             # with a short-lived pool rather than silently running serial.

@@ -18,6 +18,7 @@ from repro.api.policy import ExecutionPolicy, resolve_policy
 from repro.codegen.emit import GeneratedEvaluator
 from repro.compression.factors import Factors
 from repro.storage.cds import CDSMatrix
+from repro.utils.validation import check_finite
 
 
 @dataclass
@@ -67,15 +68,16 @@ class HMatrix:
     @property
     def batched_evaluator(self) -> GeneratedEvaluator | None:
         """The bucketed batched-GEMM evaluator, or None when the cost model
-        rejected batch lowering (low bucket occupancy). Compiled lazily on
+        rejected batch lowering (low bucket occupancy). Built lazily on
         first use and cached — the inspector already paid for the structure
-        analysis, so this is just table gathering + one ``compile``.
+        analysis and the lowering decision, so this is just table gathering.
         """
         if not self._batched_built:
             self._batched_built = True
             if self.evaluator.decision.batch:
                 from repro.codegen.emit import generate_batched_evaluator
-                self._batched = generate_batched_evaluator(self.cds)
+                self._batched = generate_batched_evaluator(
+                    self.cds, decision=self.evaluator.decision)
         return self._batched
 
     def matmul(self, W: np.ndarray, pool=None, order: str | None = None,
@@ -86,17 +88,19 @@ class HMatrix:
         Knobs resolve through one :class:`~repro.api.policy.ExecutionPolicy`
         (explicit ``order``/``q_chunk`` win over ``policy``, which wins over
         :data:`~repro.api.policy.DEFAULT_POLICY`). ``order="batched"`` (the
-        shared default) treats W rows as being in the user's input point
-        order and executes through the bucketed batched-GEMM engine, falling
-        back to the per-block code (with ``pool``) when the cost model
-        rejected batch lowering; ``order="original"`` forces the per-block
-        code; ``order="tree"`` skips both permutations (internal/benchmark
-        use). ``q_chunk`` overrides the selected evaluator's streaming panel
-        width (the single chunking layer — callers never chunk on top of
-        it). When no ``pool`` is given and the policy asks for threads, a
-        short-lived pool is created for this call.
+        shared default) executes through the bucketed batched-GEMM engine,
+        falling back to the per-block code (with ``pool``) when the cost
+        model rejected batch lowering; ``order="original"`` forces the
+        per-block code. W rows are in the user's input point order either
+        way, and must be finite (``ValueError`` otherwise). ``q_chunk``
+        overrides the selected evaluator's streaming panel width (the
+        single chunking layer — callers never chunk on top of it). When no
+        ``pool`` is given and the policy asks for threads, a short-lived
+        pool is created for this call.
         """
         pol = resolve_policy(policy, order=order, q_chunk=q_chunk)
+        W = np.ascontiguousarray(W, dtype=np.float64)
+        check_finite(W)
         if pol.is_auto:
             # Profile-guided resolution (DESIGN.md section 9) through the
             # process-global tuner: repeated bare H.matmul(W) calls reuse
@@ -115,11 +119,10 @@ class HMatrix:
             from repro.core.parallel import ProcessEngine
             with ProcessEngine(self, num_workers=pol.num_workers,
                                q_chunk=q_chunk) as engine:
-                return engine.matmul(W, order=order)
+                return engine.matmul(W)
         if pool is None and pol.num_threads and pol.num_threads > 1:
             with ThreadPoolExecutor(max_workers=pol.num_threads) as tmp:
                 return self.matmul(W, pool=tmp, order=order, q_chunk=q_chunk)
-        W = np.ascontiguousarray(W, dtype=np.float64)
         squeeze = W.ndim == 1
         if squeeze:
             W = W[:, None]
@@ -128,29 +131,21 @@ class HMatrix:
                 f"W has {W.shape[0]} rows but the HMatrix dimension is "
                 f"{self.dim}"
             )
-        if order == "tree":
-            ev = self.evaluator
-        elif order in ("original", "batched"):
-            # Degradation: batched -> per-block code. Both give the same
-            # results, so a rejected batch lowering is a performance
-            # event (recorded in the lowering decision), never an error.
-            ev = self.evaluator
-            if order == "batched" and self.batched_evaluator is not None:
-                ev = self.batched_evaluator
-        else:
+        if order not in ("original", "batched"):
             raise ValueError(
-                f"order must be 'original', 'tree' or 'batched', "
-                f"got {order!r}"
-            )
+                f"order must be 'original' or 'batched', got {order!r}")
+        # Degradation: batched -> per-block code. Both give the same
+        # results, so a rejected batch lowering is a performance event
+        # (recorded in the lowering decision), never an error.
+        ev = self.evaluator
+        if order == "batched" and self.batched_evaluator is not None:
+            ev = self.batched_evaluator
         if q_chunk is not None and ev.q_chunk != q_chunk:
             ev = replace(ev, q_chunk=q_chunk)
-        if order == "tree":
-            Y = ev(W, pool=pool)
-        else:
-            perm = self.tree.perm
-            Y_tree = ev(W[perm], pool=pool)
-            Y = np.empty_like(Y_tree)
-            Y[perm] = Y_tree
+        perm = self.tree.perm
+        Y_tree = ev(W[perm], pool=pool)
+        Y = np.empty_like(Y_tree)
+        Y[perm] = Y_tree
         return Y[:, 0] if squeeze else Y
 
     def __matmul__(self, W: np.ndarray) -> np.ndarray:

@@ -1,28 +1,27 @@
 """Process-parallel sharded execution backend (``backend="process"``).
 
-The batched engine (DESIGN.md section 3) turns the four evaluation loops
-into row-panel and stacked GEMMs over the CDS shape buckets. This module
-shards that work across a persistent pool of **worker processes**:
+The batched engine (DESIGN.md section 3) runs its program as four loop
+functions over one :class:`~repro.codegen.emit.BatchedTables`. This
+module deals the entries of those same tables across a persistent pool
+of **worker processes**:
 
-* the three CDS buffers (``basis_buf``/``near_buf``/``far_buf``) are
-  exported once into ``multiprocessing.shared_memory`` segments, and every
-  worker maps them zero-copy — block and basis views are reconstructed in
-  the worker from the same offsets the serial engine uses;
-* the near panels are sharded by *super-row* (the sibling-leaf row groups
-  of the batched engine's near loop, each one panel), the far panels by
-  *output node* (all interactions writing one node's rows stay together),
-  and the leaf basis buckets by member, all with a deterministic LPT
-  (longest-processing-time) packing over a flop estimate;
+* the tables are the HMatrix's own (built once, when the plan batches)
+  or one build for the engine (when the cost model rejected batching);
+* whole entries are dealt to workers with a deterministic LPT
+  (longest-processing-time) packing over their sizes: a near super-row
+  panel, a coupling-stack member (one output node) or a leaf-bucket
+  member. A worker receives its entries at start, by fork inheritance
+  (pickled under spawn), and runs the serial engine's near, up, far and
+  down loop functions over them; nothing is built in a worker;
 * per call, W/Y/T/S live in four shared scratch segments and the product
   runs as three barrier phases (see :class:`ProcessEngine`). Every output
   row slice has exactly one writer, in the serial engine's GEMM
   granularity, so the "reduction" of per-shard partial products is a
   disjoint scatter and the result is **bit-identical** to the serial
-  batched *lowering* — not merely within rounding. (The engine builds the
-  batched tables unconditionally; on matrices where the cost model
-  rejected batching, serial ``order="batched"`` falls back to the
-  per-block code, and the process backend agrees with that fallback only
-  to rounding, < 1e-12 relative.)
+  batched *lowering* — not merely within rounding. (On matrices where
+  the cost model rejected batching, serial ``order="batched"`` falls
+  back to the per-block code, and the process backend agrees with that
+  fallback only to rounding, < 1e-12 relative.)
 
 The pool is built once per (HMatrix, worker count) and reused across
 calls/chunks — the process analogue of the inspector-executor contract's
@@ -34,27 +33,29 @@ down on ``close()``.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import multiprocessing as mp
 import os
 import signal
 import sys
 import traceback
 import weakref
-from dataclasses import dataclass, field
 from multiprocessing import shared_memory
 
 import numpy as np
 
 from repro.api.policy import DEFAULT_Q_CHUNK, effective_cpu_count
 from repro.codegen.emit import (
-    WIDE_Q_MIN,
-    _batched_tree_tables,
-    _rank_offsets,
-    _row_panel_tables,
-    _stacked_panels,
-    _super_rows,
+    BatchedTables,
+    _tree_bucket,
+    build_batched_tables,
+    down_pass,
+    far_pass,
+    near_pass,
+    up_pass,
 )
 from repro.observability.faults import active_fault_plan
+from repro.utils.validation import check_finite
 
 __all__ = ["ProcessEngine", "WorkerCrashError", "default_start_method",
            "shard_by_weight"]
@@ -128,116 +129,75 @@ def shard_by_weight(weights: list[float], num_shards: int) -> list[list[int]]:
 
 
 # --------------------------------------------------------------------------
-# Shard plan: everything a worker needs, in picklable form.
+# Dealing the tables' entries to workers.
 # --------------------------------------------------------------------------
 
-@dataclass
-class _ShardPlan:
-    """One worker's slice of the batched engine's tables.
+def _stack_members(stack, sel):
+    """Members ``sel`` of a coupling stack ``(P, idx, rows)``."""
+    P, idx, rows = stack
+    if len(sel) == len(P):
+        return stack
+    return (P[sel], idx[sel], rows.reshape(len(P), -1)[sel].ravel())
 
-    All fields are plain ints/tuples/dicts so the plan survives ``spawn``
-    pickling; the heavy data stays in the shared CDS buffers and is
-    re-viewed inside the worker.
+
+def _bucket_members(bucket, sel):
+    """Members ``sel`` of a leaf bucket. They are taken from the
+    untransposed stack and :func:`~repro.codegen.emit._tree_bucket`
+    takes the transposed view afterwards, so every member GEMM keeps the
+    operand layout of the serial engine's call."""
+    G, _GT, gather, _flat, _own, own2d, from_w = bucket
+    if len(sel) == len(G):
+        return bucket
+    return _tree_bucket(G[sel], gather[sel], own2d[sel].ravel(), from_w)
+
+
+def _deal(tables: BatchedTables, shards: int) -> list[BatchedTables]:
+    """Deal the tables' worker entries to ``shards`` workers.
+
+    The units are whole near super-row panels, coupling-stack members
+    (one output node each) and leaf-bucket members, packed by
+    :func:`shard_by_weight` over their generator sizes. Interior tree
+    buckets stay with the master. Each worker's share is a
+    :class:`BatchedTables` of the same form, with one leaf level.
     """
+    def members(stacks, select) -> list[tuple]:
+        # Units are (stack, member); a worker's members of one stack
+        # stay together, in order, as one smaller stack.
+        units = [(e, m) for e, st in enumerate(stacks)
+                 for m in range(len(st[0]))]
+        picks = shard_by_weight(
+            [float(stacks[e][0][0].size) for e, _m in units], shards)
+        return [
+            tuple(select(stacks[e], np.array([m for _e, m in group]))
+                  for e, group in itertools.groupby(
+                      (units[i] for i in pick), key=lambda u: u[0]))
+            for pick in picks
+        ]
 
-    wid: int
-    n: int
-    rank_rows: int
-    q_cap: int
-    shm_names: dict = field(default_factory=dict)
-    buf_len: dict = field(default_factory=dict)
-    # Near shard: whole super-rows (leaf ids per group, in row order),
-    # their pairs, and the point-row/offset maps.
-    near_groups: list = field(default_factory=list)
-    near_pairs: list = field(default_factory=list)
-    point_rows: dict = field(default_factory=dict)
-    near_off: dict = field(default_factory=dict)
-    # Far shard: pairs + skeleton-row ranges in the T/S panels.
-    far_pairs: list = field(default_factory=list)
-    skel_rows: dict = field(default_factory=dict)
-    far_off: dict = field(default_factory=dict)
-    # Leaf basis shard: (basis offset, rows, cols, point start, T offset).
-    leaf_specs: list = field(default_factory=list)
+    near = shard_by_weight([float(e[0].size) for e in tables.near], shards)
+    leaf = members([b for level in tables.levels for b in level if b[-1]],
+                   _bucket_members)
+    far = members(tables.far, _stack_members)
+    return [
+        BatchedTables(tables.rank_rows,
+                      near=tuple(tables.near[i] for i in near[w]),
+                      levels=(leaf[w],), far=far[w])
+        for w in range(shards)
+    ]
 
 
-class _ShardState:
-    """A worker's compiled tables: built once, applied every phase.
-
-    Mirrors the serial batched engine exactly: near row panels via
-    :func:`repro.codegen.emit._row_panel_tables` (same super-rows, same
-    padding/run merging), the shard's coupling panels as same-shape
-    stacks via :func:`repro.codegen.emit._stacked_panels`, leaf buckets
-    as stacked GEMMs grouped by shape.
-    """
-
-    def __init__(self, plan: _ShardPlan, basis_buf: np.ndarray,
-                 near_buf: np.ndarray, far_buf: np.ndarray):
-        self.plan = plan
-        self.near_panels = _row_panel_tables(
-            plan.near_pairs, plan.point_rows, near_buf, plan.near_off,
-            groups=plan.near_groups,
-        ) if plan.near_pairs else ()
-        self.far_stacks = _stacked_panels(_row_panel_tables(
-            plan.far_pairs, plan.skel_rows, far_buf, plan.far_off,
-        )) if plan.far_pairs else ()
-        max_k = max((e[2] for e in self.near_panels if len(e[1]) > 1),
-                    default=1)
-        self._gather_buf = np.empty((max_k, plan.q_cap))
-
-        # Leaf basis buckets: group this shard's leaves by generator shape
-        # and assemble (G, GT, point-row gather, T-row scatter) stacks from
-        # views into the shared basis buffer.
-        groups: dict[tuple[int, int], list] = {}
-        for spec in plan.leaf_specs:
-            off, rows, cols, start, t0 = spec
-            groups.setdefault((rows, cols), []).append((off, start, t0))
-        self.leaf_buckets = []
-        for (rows, cols), members in groups.items():
-            G = np.stack([
-                basis_buf[off:off + rows * cols].reshape(rows, cols)
-                for off, _s, _t in members
-            ])
-            GT = G.transpose(0, 2, 1)
-            gather = np.stack([
-                np.arange(s, s + rows) for _o, s, _t in members
-            ])
-            own = np.concatenate([
-                t0 + np.arange(cols) for _o, _s, t0 in members
-            ])
-            self.leaf_buckets.append(
-                (G, GT, gather, own, own.reshape(len(members), cols))
-            )
-
-    # ------------------------------------------------------------- phases
-    def run_phase(self, phase: int, W, Y, T, S) -> None:
-        q = W.shape[1]
-        if phase == _PHASE_NEAR_AND_LEAF_UP:
-            # Same loop as the generated batched code's near loop.
-            buf = self._gather_buf
-            for panel, runs, k, si, ei, slices in self.near_panels:
-                if len(runs) == 1:
-                    opnd = W[runs[0][0]:runs[0][1]]
-                else:
-                    opnd = buf[:k, :q]
-                    o = 0
-                    for a, b in runs:
-                        opnd[o:o + b - a] = W[a:b]
-                        o += b - a
-                if q >= WIDE_Q_MIN:
-                    Y[si:ei] += panel @ opnd
-                else:
-                    for rows, a, b in slices:
-                        Y[a:b] += rows @ opnd
-            for _G, GT, gather, own, _own2d in self.leaf_buckets:
-                T[own] = np.matmul(GT, W[gather]).reshape(-1, q)
-        elif phase == _PHASE_FAR:
-            for P, idx, rows in self.far_stacks:
-                S[rows] += np.matmul(P, T[idx]).reshape(-1, q)
-        elif phase == _PHASE_LEAF_DOWN:
-            for G, _GT, gather, _own, own2d in self.leaf_buckets:
-                Y[gather.ravel()] += np.matmul(G, S[own2d]).reshape(-1, q)
-        else:  # pragma: no cover - protocol bug guard
-            raise ValueError(f"unknown phase {phase}")
+def _run_phase(tables: BatchedTables, phase: int, W, Y, T, S, buf) -> None:
+    """One worker's share of one barrier phase."""
+    if phase == _PHASE_NEAR_AND_LEAF_UP:
+        near_pass(tables.near, W, Y,
+                  buf[:tables.max_k * W.shape[1]].reshape(-1, W.shape[1]))
+        up_pass(tables.levels, W, T)
+    elif phase == _PHASE_FAR:
+        far_pass(tables.far, T, S)
+    elif phase == _PHASE_LEAF_DOWN:
+        down_pass(tables.levels, S, Y)
+    else:  # pragma: no cover - protocol bug guard
+        raise ValueError(f"unknown phase {phase}")
 
 
 # --------------------------------------------------------------------------
@@ -259,20 +219,17 @@ def _attach(name: str):
         return shared_memory.SharedMemory(name=name)
 
 
-def _worker_main(conn, plan: _ShardPlan) -> None:
-    """Worker loop: attach the shared CDS + scratch, serve phase requests."""
-    segs = {key: _attach(name) for key, name in plan.shm_names.items()}
+def _worker_main(conn, wid: int, tables: BatchedTables, shm_names: dict,
+                 n: int, q_cap: int) -> None:
+    """Worker loop: attach the shared scratch, serve phase requests."""
+    segs = {key: _attach(name) for key, name in shm_names.items()}
     try:
-        def buf(key):
-            return np.ndarray((plan.buf_len[key],), dtype=np.float64,
-                              buffer=segs[key].buf)
-
-        state = _ShardState(plan, buf("basis"), buf("near"), buf("far"))
-        n, r = plan.n, plan.rank_rows
+        r = max(tables.rank_rows, 1)
+        buf = np.empty(tables.max_k * q_cap)
         while True:
             msg = conn.recv()
             if msg[0] == "stop":
-                conn.send(("bye", plan.wid))
+                conn.send(("bye", wid))
                 break
             phase, q = msg
             try:
@@ -284,10 +241,10 @@ def _worker_main(conn, plan: _ShardPlan) -> None:
                                buffer=segs["T"].buf)
                 S = np.ndarray((r, q), dtype=np.float64,
                                buffer=segs["S"].buf)
-                state.run_phase(phase, W, Y, T, S)
-                conn.send(("ok", plan.wid))
+                _run_phase(tables, phase, W, Y, T, S, buf)
+                conn.send(("ok", wid))
             except Exception:
-                conn.send(("err", plan.wid, traceback.format_exc()))
+                conn.send(("err", wid, traceback.format_exc()))
     finally:
         for seg in segs.values():
             seg.close()
@@ -299,17 +256,19 @@ def _worker_main(conn, plan: _ShardPlan) -> None:
 # --------------------------------------------------------------------------
 
 class ProcessEngine:
-    """Persistent process pool evaluating ``Y = H @ W`` by CDS sharding.
+    """Persistent process pool evaluating ``Y = H @ W`` over the batched
+    tables' entries.
 
     Protocol per column chunk (master = the calling process):
 
     1. master writes the permuted W chunk into shared scratch and zeroes
-       Y/S; **phase 1**: workers apply their near row panels into Y and
-       their leaf basis buckets into T (both read only W);
+       Y/S; **phase 1**: workers run their near super-row panels into Y
+       and their leaf-bucket members into T (both read only W);
     2. master runs the interior upward levels (strictly ordered, small);
-       **phase 2**: workers apply their far row panels into S (read T);
+       **phase 2**: workers run their coupling-stack members into S
+       (read T);
     3. master runs the interior downward levels; **phase 3**: workers
-       scatter their leaf buckets' ``G @ S`` into Y.
+       scatter their leaf-bucket members' ``G @ S`` into Y.
 
     Each Y/T/S row slice is written by exactly one worker with the same
     GEMMs the serial batched engine issues, so results are
@@ -328,14 +287,13 @@ class ProcessEngine:
                  q_chunk: int | None = None,
                  start_method: str | None = None):
         # The engine holds H *weakly* plus direct references to the
-        # arrays it actually needs (the permutation here; the CDS
-        # buffers through the shard plans / shared-memory copies), so
-        # caching an engine in an Executor never pins an HMatrix past
-        # its own lifetime — its collection is the eviction signal.
+        # arrays it actually needs (the permutation and the batched
+        # tables), so caching an engine in an Executor never pins an
+        # HMatrix past its own lifetime — its collection is the eviction
+        # signal.
         self._H_ref = weakref.ref(H)
-        cds = H.cds
         self._perm = np.asarray(H.tree.perm)
-        self.n = cds.dim
+        self.n = H.dim
         self.q_cap = int(q_chunk or DEFAULT_Q_CHUNK)
         if num_workers is None:
             # Affinity/cgroup-aware: os.cpu_count() reports the machine,
@@ -350,152 +308,62 @@ class ProcessEngine:
         self._conns: list = []
         self._segments: list = []
 
-        toff, self.rank_rows = _rank_offsets(cds)
-        up_levels, down_levels = _batched_tree_tables(cds, toff)
+        # The serial engine's tables when the plan batches; one build of
+        # them for this engine when the cost model rejected batching.
+        batched = H.batched_evaluator
+        tables = (batched.tables if batched is not None
+                  else build_batched_tables(H.cds))
+        self.rank_rows = tables.rank_rows
         # Interior tree levels stay in the master: they are strictly
         # level-ordered and tiny next to the near/far panels.
-        self._up_interior = tuple(
-            tuple(e for e in level if not e[3]) for level in up_levels
+        self._interior = tuple(
+            tuple(b for b in level if not b[-1]) for level in tables.levels
         )
-        self._down_interior = tuple(
-            tuple(e for e in level if not e[3]) for level in down_levels
-        )
-
-        plans = self._build_plans(cds, toff)
-        # Retained for the race certifier (repro.analysis.races): the
-        # plans *are* the engine's access trace — workers execute
-        # exactly the panels listed here, every call.
-        self._plans = plans
+        # Retained for the race certifier (repro.analysis.races): these
+        # tables *are* the engine's access trace — workers run exactly
+        # these entries, every call.
+        self._shards = _deal(tables, max(self.num_workers, 1))
         if self.num_workers == 0:
-            # Inline mode: same shards, no pool, plain scratch arrays.
-            self._inline_states = [
-                _ShardState(p, cds.basis_buf, cds.near_buf, cds.far_buf)
-                for p in plans
-            ]
+            # Inline mode: same shard, no pool, plain scratch arrays.
             self._W = np.empty((self.n, self.q_cap))
             self._Y = np.empty((self.n, self.q_cap))
             self._T = np.empty((max(self.rank_rows, 1), self.q_cap))
             self._S = np.empty((max(self.rank_rows, 1), self.q_cap))
+            self._buf = np.empty(tables.max_k * self.q_cap)
             self._finalizer = None
             return
 
-        # Shared CDS buffers (copied once at pool startup, mapped
-        # zero-copy in every worker thereafter) + per-call scratch.
+        # Per-call scratch, mapped by every worker.
         shm_names: dict[str, str] = {}
-        buf_len: dict[str, int] = {}
-
-        def share(key, length):
-            seg = shared_memory.SharedMemory(
-                create=True, size=max(int(length), 1) * 8)
-            self._segments.append(seg)
-            shm_names[key] = seg.name
-            buf_len[key] = int(length)
-            return np.ndarray((max(int(length), 1),), dtype=np.float64,
-                              buffer=seg.buf)
-
-        for key, src in (("basis", cds.basis_buf), ("near", cds.near_buf),
-                         ("far", cds.far_buf)):
-            view = share(key, src.size)
-            view[:src.size] = src
         scratch_rows = {"W": self.n, "Y": self.n,
                         "T": self.rank_rows, "S": self.rank_rows}
         for key, rows in scratch_rows.items():
-            share(key, max(rows, 1) * self.q_cap)
-        # Master-side scratch views (the interior levels run here).
+            seg = shared_memory.SharedMemory(
+                create=True, size=max(rows, 1) * self.q_cap * 8)
+            self._segments.append(seg)
+            shm_names[key] = seg.name
         self._seg_by_key = dict(zip(shm_names, self._segments, strict=True))
 
         ctx = mp.get_context(start_method or default_start_method())
         try:
-            for plan in plans:
-                plan.shm_names = shm_names
-                plan.buf_len = buf_len
+            for wid, shard in enumerate(self._shards):
                 parent, child = ctx.Pipe(duplex=True)
-                proc = ctx.Process(target=_worker_main, args=(child, plan),
-                                   daemon=True)
+                proc = ctx.Process(
+                    target=_worker_main,
+                    args=(child, wid, shard, shm_names, self.n, self.q_cap),
+                    daemon=True)
                 proc.start()
                 child.close()
                 self._workers.append(proc)
                 self._conns.append(parent)
         except Exception:
             # A mid-spawn failure (fork EAGAIN, spawn pickling error)
-            # must not leak the already-created segments — by this point
-            # a full CDS copy plus four scratch panels sit in /dev/shm.
+            # must not leak the already-created scratch segments.
             _shutdown_pool(self._workers, self._conns, self._segments)
             raise
         self._finalizer = weakref.finalize(self, _shutdown_pool,
                                            self._workers, self._conns,
                                            self._segments)
-
-    # ---------------------------------------------------------------- plans
-    def _build_plans(self, cds, toff) -> list[_ShardPlan]:
-        t = cds.tree
-        srank = cds.factors.srank
-        shards = max(self.num_workers, 1)
-
-        def point_range(v):
-            return (int(t.start[v]), int(t.stop[v]))
-
-        def skel_range(v):
-            return (int(toff[v]), int(toff[v] + srank(v)))
-
-        # Group pairs by row panel, which is indivisible: a super-row of
-        # leaves for near pairs, one output node for far pairs.
-        def by_row(pairs):
-            rows: dict[int, list] = {}
-            for (i, j) in pairs:
-                rows.setdefault(i, []).append((i, j))
-            return rows
-
-        near_rows = by_row(cds.near_visit_order())
-        near_groups = [(g, [p for i in g for p in near_rows[i]])
-                       for g in _super_rows(cds)]
-        far_groups = list(by_row(cds.far_visit_order()).items())
-        near_w = [
-            float(sum(t.node_size(i) * t.node_size(j) for i, j in g))
-            for _group, g in near_groups
-        ]
-        far_w = [
-            float(sum(srank(i) * srank(j) for _i, j in g))
-            for i, g in far_groups
-        ]
-        leaves = [
-            v for v in cds.basis_nodes()
-            if t.is_leaf(v) and srank(v) > 0
-        ]
-        leaf_w = [float(t.node_size(v) * srank(v)) for v in leaves]
-
-        near_shards = shard_by_weight(near_w, shards)
-        far_shards = shard_by_weight(far_w, shards)
-        leaf_shards = shard_by_weight(leaf_w, shards)
-
-        plans = []
-        for wid in range(shards):
-            plan = _ShardPlan(wid=wid, n=self.n, rank_rows=self.rank_rows,
-                              q_cap=self.q_cap)
-            for gi in near_shards[wid]:
-                group, pairs = near_groups[gi]
-                plan.near_groups.append(group)
-                plan.near_pairs.extend(pairs)
-            for (i, j) in plan.near_pairs:
-                plan.point_rows[i] = point_range(i)
-                plan.point_rows[j] = point_range(j)
-                plan.near_off[(i, j)] = int(cds.near_offset[(i, j)])
-            for gi in far_shards[wid]:
-                _i, pairs = far_groups[gi]
-                plan.far_pairs.extend(pairs)
-            for (i, j) in plan.far_pairs:
-                plan.skel_rows[i] = skel_range(i)
-                plan.skel_rows[j] = skel_range(j)
-                plan.far_off[(i, j)] = int(cds.far_offset[(i, j)])
-            for li in leaf_shards[wid]:
-                v = leaves[li]
-                rows, cols = cds.basis_shape[v]
-                plan.leaf_specs.append(
-                    (int(cds.basis_offset[v]), int(rows), int(cols),
-                     int(t.start[v]), int(toff[v]))
-                )
-            plans.append(plan)
-        return plans
 
     # ------------------------------------------------------------- protocol
     def _scratch(self, key: str, rows: int, q: int) -> np.ndarray:
@@ -506,12 +374,11 @@ class ProcessEngine:
 
     def _barrier(self, phase: int, q: int) -> None:
         if self.num_workers == 0:
-            W = self._scratch("W", self.n, q)
-            Y = self._scratch("Y", self.n, q)
-            T = self._scratch("T", self.rank_rows, q)
-            S = self._scratch("S", self.rank_rows, q)
-            for state in self._inline_states:
-                state.run_phase(phase, W, Y, T, S)
+            _run_phase(self._shards[0], phase,
+                       self._scratch("W", self.n, q),
+                       self._scratch("Y", self.n, q),
+                       self._scratch("T", self.rank_rows, q),
+                       self._scratch("S", self.rank_rows, q), self._buf)
             return
         self._maybe_inject_kill(phase)
         errors = []
@@ -568,20 +435,15 @@ class ProcessEngine:
         Y[:] = 0.0
         S[:] = 0.0
         self._barrier(_PHASE_NEAR_AND_LEAF_UP, q)
-        for level in self._up_interior:
-            for GT, gather, t_rows, _from_w in level:
-                T[t_rows] = np.matmul(GT, T[gather]).reshape(-1, q)
+        up_pass(self._interior, W, T)
         self._barrier(_PHASE_FAR, q)
-        for level in self._down_interior:
-            for G, s_rows, scatter, _to_y in level:
-                S[scatter] += np.matmul(G, S[s_rows]).reshape(-1, q)
+        down_pass(self._interior, S, Y)
         self._barrier(_PHASE_LEAF_DOWN, q)
         out[:] = Y
 
     # ------------------------------------------------------------------ API
-    def matmul(self, W: np.ndarray, order: str = "batched") -> np.ndarray:
-        """``Y = H @ W`` on the pool (W rows in user point order, or in
-        tree order with ``order="tree"``)."""
+    def matmul(self, W: np.ndarray) -> np.ndarray:
+        """``Y = H @ W`` on the pool (W rows in user point order)."""
         if self._closed:
             raise RuntimeError("ProcessEngine is closed")
         W = np.ascontiguousarray(W, dtype=np.float64)
@@ -593,9 +455,9 @@ class ProcessEngine:
                 f"W has {W.shape[0]} rows but the HMatrix dimension is "
                 f"{self.n}"
             )
+        check_finite(W)
         self.calls += 1
-        perm = None if order == "tree" else self._perm
-        Wt = W if perm is None else W[perm]
+        Wt = W[self._perm]
         Yt = np.empty_like(Wt)
         for q0 in range(0, max(Wt.shape[1], 1), self.q_cap):
             chunk = Wt[:, q0:q0 + self.q_cap]
@@ -604,11 +466,8 @@ class ProcessEngine:
             self.chunks += 1
             self._matmul_tree_chunk(np.ascontiguousarray(chunk),
                                     Yt[:, q0:q0 + self.q_cap])
-        if perm is None:
-            Y = Yt
-        else:
-            Y = np.empty_like(Yt)
-            Y[perm] = Yt
+        Y = np.empty_like(Yt)
+        Y[self._perm] = Yt
         return Y[:, 0] if squeeze else Y
 
     @property
@@ -626,14 +485,14 @@ class ProcessEngine:
 
         A JSON-able record of every (actor, phase, array, row-interval,
         read/write) access the 3-phase protocol performs, derived from
-        the shard plans — feed it to
+        the table entries each worker runs — feed it to
         :func:`repro.analysis.races.certify_trace` to prove the
         single-writer-per-row invariant for this engine instance.
         """
-        from repro.analysis.races import trace_from_plans
+        from repro.analysis.races import trace_from_tables
 
-        return trace_from_plans(
-            self._plans, n=self.n, rank_rows=self.rank_rows,
+        return trace_from_tables(
+            self._shards, n=self.n, rank_rows=self.rank_rows,
             num_workers=self.num_workers, calls=self.calls,
             chunks=self.chunks)
 

@@ -198,7 +198,7 @@ def predict_policy_seconds(knobs: dict, flops: float, q: int,
                                       active_cores=workers)
         return compute + sync + traffic
 
-    if order in ("batched", "tree"):
+    if order == "batched":
         # One stacked GEMM per shape bucket: large-GEMM efficiency.
         return machine.flop_seconds(flops, cores=1,
                                     efficiency=machine.blas_efficiency)

@@ -79,6 +79,14 @@ DEFAULT_MAX_BODY = 64 * 2**20
 _DISCARD_SECONDS = 5.0
 
 
+def _require_finite(arr: np.ndarray, field: str) -> None:
+    """400 ``non_finite`` for a NaN or inf in a decoded array. The codec
+    carries such values; the verbs refuse them before any work starts."""
+    if not np.isfinite(arr).all():
+        raise ProtocolError(f"{field} must be finite (no NaN/inf)",
+                            code="non_finite")
+
+
 class AuditLog:
     """Append-only JSONL request log (thread-safe, best-effort).
 
@@ -488,6 +496,7 @@ class KernelServer:
             raise ProtocolError(
                 f"points must be a 2-D (n, d) array with n >= 2, got "
                 f"shape {list(points.shape)}")
+        _require_finite(points, "points")
         plan = plan_from_doc(doc.get("plan"))
         kernel = kernel_from_doc(doc.get("kernel"))
         pfp = points_fingerprint(np.ascontiguousarray(points,
@@ -555,6 +564,7 @@ class KernelServer:
                     f"{f'w_chunks[{i}]' if chunked else 'w'} must have "
                     f"{n} rows for {points_id!r}, got shape "
                     f"{list(panel.shape)}")
+            _require_finite(panel, f"w_chunks[{i}]" if chunked else "w")
         t0 = time.perf_counter()
         # One submit per chunk: the dispatcher stacks compatible chunks
         # (from this request AND concurrent ones) into one GEMM. Each

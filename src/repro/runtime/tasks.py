@@ -242,7 +242,7 @@ def matrox_batched_phases(cds: CDSMatrix, q: int,
     Each reduction loop prices as one "blas" phase (its row-panel GEMMs are
     fat, layout-insensitive kernels), and each tree level prices one "blas"
     phase per shape bucket — mirroring exactly the kernel launches the
-    generated batched code performs. ``q_chunk`` repeats the schedule per
+    batched loop functions perform. ``q_chunk`` repeats the schedule per
     streamed column chunk, charging the extra barriers the streaming loop
     pays in exchange for cache-resident panels.
     """

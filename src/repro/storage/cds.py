@@ -14,11 +14,13 @@ reshapes are NumPy views into the flat buffer, never copies, preserving the
 format's locality in the executor. The buffers own the generators: after
 packing, the :class:`Factors` dicts hold these same views.
 
-On top of the flat buffers the CDS also exposes *shape buckets*: generators
-grouped by ``(rows, cols)`` in visit order, each bucket carrying the buffer
-offsets of its members so the batched executor can gather one
-``(batch, rows, cols)`` stack and run a single stacked GEMM per bucket
-instead of one small GEMM per generator (see DESIGN.md section 3).
+On top of the flat buffers the CDS also exposes *basis shape buckets*:
+the V/E generators of one tree level grouped by role and ``(rows, cols)``
+in visit order, each bucket carrying the buffer offsets of its members so
+the batched executor's tree loops gather one ``(batch, rows, cols)`` stack
+and run a single stacked GEMM per bucket instead of one small GEMM per
+generator (see DESIGN.md section 3). The near and coupling loops run on
+row panels built from the block offsets instead.
 """
 
 from __future__ import annotations
@@ -33,13 +35,12 @@ from repro.compression.factors import Factors
 
 @dataclass
 class ShapeBucket:
-    """Generators of one ``(rows, cols)`` shape, in visit order.
+    """Basis generators of one ``(rows, cols)`` shape, in visit order.
 
-    ``keys`` are node ids (basis buckets) or ``(i, j)`` pairs (near/far
-    buckets); ``offsets[b]`` is the flat-buffer offset of ``keys[b]``. The
-    gather indices are derived, not stored: member ``b`` occupies
-    ``buf[offsets[b] : offsets[b] + rows*cols]``. ``kind`` distinguishes
-    leaf from interior basis buckets (their batched ops differ).
+    ``keys`` are node ids; ``offsets[b]`` is the flat-buffer offset of
+    ``keys[b]``. The gather indices are derived, not stored: member ``b``
+    occupies ``buf[offsets[b] : offsets[b] + rows*cols]``. ``kind``
+    distinguishes leaf from interior buckets (their batched ops differ).
     """
 
     shape: tuple[int, int]
@@ -109,24 +110,6 @@ class CDSMatrix:
         return self.basis_buf.nbytes + self.near_buf.nbytes + self.far_buf.nbytes
 
     # ---------------------------------------------------------- shape buckets
-    def near_buckets(self) -> list[ShapeBucket]:
-        """Near (D) generators bucketed by block shape, in visit order."""
-        t = self.tree
-        return _bucketize(
-            self.near_visit_order(),
-            lambda p: (t.node_size(p[0]), t.node_size(p[1])),
-            self.near_offset,
-        )
-
-    def far_buckets(self) -> list[ShapeBucket]:
-        """Far (B) generators bucketed by coupling shape, in visit order."""
-        srank = self.factors.srank
-        return _bucketize(
-            self.far_visit_order(),
-            lambda p: (srank(p[0]), srank(p[1])),
-            self.far_offset,
-        )
-
     def basis_nodes(self) -> list[int]:
         """All non-root nodes carrying a basis generator, post-ordered."""
         return [
@@ -159,22 +142,6 @@ class CDSMatrix:
                                   self.basis_offset, kind="interior")
             out.append(buckets)
         return out
-
-    def bucket_occupancy(self) -> float:
-        """Mean generators per shape bucket.
-
-        High occupancy means few stacked GEMMs cover many generators, so
-        batching amortises its gather/scatter; occupancy near 1 means the
-        shapes are all distinct and batching degenerates to the serial
-        loop. (The lowering gate uses the related, pre-CDS
-        :func:`repro.codegen.lowering.batch_occupancy` fusion signal.)
-        """
-        buckets = self.near_buckets() + self.far_buckets()
-        for level in self.basis_level_buckets():
-            buckets += level
-        if not buckets:
-            return 0.0
-        return sum(b.batch for b in buckets) / len(buckets)
 
     # ------------------------------------------------------------ trace hooks
     def basis_visit_order(self) -> list[int]:

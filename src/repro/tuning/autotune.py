@@ -59,7 +59,6 @@ from repro.tuning.profile import (
     TuningProfile,
     hmatrix_fingerprint,
     policy_from_knobs,
-    policy_knobs,
     policy_pins,
     width_bucket,
 )
@@ -237,9 +236,7 @@ class Autotuner:
         width, so the trial discriminates it), the per-block code
         serially and over one thread per CPU, and the process backend
         once the host has CPUs to shard over and the product's flops
-        amortize the pool (:data:`PROCESS_BACKEND_MIN_FLOPS`). Only
-        result-preserving policies are eligible: ``order="tree"``
-        changes the meaning of W's row order, so auto never selects it.
+        amortize the pool (:data:`PROCESS_BACKEND_MIN_FLOPS`).
         """
         pins = dict(pins or {})
         cpus = int(self.host.get("cpus", 1))
@@ -358,7 +355,7 @@ class Autotuner:
             from repro.core.parallel import ProcessEngine
             with ProcessEngine(H, num_workers=pol.num_workers,
                                q_chunk=pol.q_chunk) as engine:
-                return timed(lambda: engine.matmul(W, order=pol.order))
+                return timed(lambda: engine.matmul(W))
         if pol.num_threads and pol.num_threads > 1:
             with ThreadPoolExecutor(max_workers=pol.num_threads) as pool:
                 return timed(lambda: H.matmul(

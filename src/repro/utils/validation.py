@@ -27,6 +27,13 @@ def check_points(points, *, name: str = "points") -> np.ndarray:
     return arr
 
 
+def check_finite(arr: np.ndarray, *, name: str = "W") -> None:
+    """Require every entry of ``arr`` to be finite: one NaN or inf in a
+    right-hand side would spread through the product unannounced."""
+    require(bool(np.isfinite(arr).all()),
+            f"{name} must be finite (no NaN/inf)")
+
+
 def check_positive(value, *, name: str) -> None:
     """Require a strictly positive scalar."""
     if not np.isscalar(value) or not value > 0:

@@ -19,7 +19,7 @@ from repro import (
     save_hmatrix,
 )
 from repro.api.operator import DenseOperator, as_apply
-from repro.api.policy import resolve_policy
+from repro.api.policy import VALID_ORDERS, resolve_policy
 from repro.api.session import points_fingerprint
 from repro.core.inspector import INSPECTION_COUNTS
 from repro.solvers import (
@@ -117,13 +117,24 @@ class TestExecutionPolicy:
             ExecutionPolicy(order=retired)
         msg = str(exc.value)
         assert repr(retired) in msg
-        for order in ("batched", "original", "tree", "auto"):
+        for order in ("batched", "original", "auto"):
+            assert repr(order) in msg
+
+    def test_retired_tree_order_rejected(self):
+        """order="tree" (the skip-permutation order) is gone too: the
+        error names the orders that remain, and none of them is it."""
+        with pytest.raises(ValueError) as exc:
+            ExecutionPolicy(order="tree")
+        msg = str(exc.value)
+        assert "'tree'" in msg
+        assert VALID_ORDERS == ("batched", "original", "auto")
+        for order in VALID_ORDERS:
             assert repr(order) in msg
 
     def test_resolution_precedence(self):
         pol = ExecutionPolicy(order="original", num_threads=2)
-        merged = resolve_policy(pol, order="tree", q_chunk=64)
-        assert merged.order == "tree"
+        merged = resolve_policy(pol, order="batched", q_chunk=64)
+        assert merged.order == "batched"
         assert merged.num_threads == 2 and merged.q_chunk == 64
         assert resolve_policy(None).order == DEFAULT_POLICY.order
 
@@ -448,6 +459,15 @@ class TestCLIPolicyFlags:
             main(["evaluate", str(stored_hmatrix), "--order", "compiled"])
         assert exc.value.code == 2
         assert "invalid choice: 'compiled'" in capsys.readouterr().err
+
+    def test_evaluate_rejects_retired_tree_order(self, stored_hmatrix,
+                                                 capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", str(stored_hmatrix), "--order", "tree"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'tree'" in capsys.readouterr().err
 
 
 class TestSessionPolicyRegression:

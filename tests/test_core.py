@@ -7,6 +7,7 @@ import pytest
 from repro import (
     Executor,
     Inspector,
+    ProcessEngine,
     get_kernel,
     inspector,
     inspector_p1,
@@ -45,12 +46,33 @@ class TestInspectorExecutor:
         assert row_err.max() < 1e-3
 
     def test_tree_order_skips_permutation(self, hmatrix_2d):
+        """The evaluator works in tree order: fed W's rows permuted, it
+        returns the user-order product's rows permuted the same way."""
         rng = np.random.default_rng(3)
         W = rng.random((hmatrix_2d.dim, 2))
         perm = hmatrix_2d.tree.perm
         y_orig = hmatrix_2d.matmul(W, order="original")
-        y_tree = hmatrix_2d.matmul(W[perm], order="tree")
-        np.testing.assert_allclose(y_orig[perm], y_tree, atol=1e-12)
+        y_tree = hmatrix_2d.evaluator(W[perm])
+        np.testing.assert_array_equal(y_orig[perm], y_tree)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("order", ["batched", "original"])
+    def test_non_finite_w_rejected(self, hmatrix_2d, bad, order):
+        W = np.ones((hmatrix_2d.dim, 2))
+        W[5, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            hmatrix_2d.matmul(W, order=order)
+        with pytest.raises(ValueError, match="finite"):
+            hmatrix_2d.matmul(W[:, 1], order=order)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_w_rejected_by_process_engine(self, hmatrix_2d, bad):
+        W = np.ones((hmatrix_2d.dim, 2))
+        W[5, 1] = bad
+        with ProcessEngine(hmatrix_2d, num_workers=0) as eng:
+            with pytest.raises(ValueError, match="finite"):
+                eng.matmul(W)
+            assert eng.calls == 0
 
     def test_invalid_order(self, hmatrix_2d):
         with pytest.raises(ValueError, match="order"):

@@ -5,7 +5,7 @@ node) by shape ``(m, k)`` and runs each group as one stacked
 ``np.matmul``: ``S[rows] += np.matmul(P, T[idx]).reshape(-1, Q)``. NumPy
 runs a stack as one BLAS GEMM per member, the same call as the member's
 2-D GEMM, and S is still zero there, so the products keep their bits. The
-process engine takes its coupling schedule from the same helper.
+process engine deals out members of the same stacks.
 """
 
 from __future__ import annotations
@@ -130,9 +130,8 @@ class TestOneMatmulPerStack:
         ev = generate_batched_evaluator(H.cds)
         W = np.random.default_rng(q).random((H.dim, q))
         want = ev(W)
-        env = ev._fn.__globals__
-        env["FAR_STACKS"] = tuple((P.view(_RecordingStack), idx, rows)
-                                  for P, idx, rows in env["FAR_STACKS"])
+        ev.tables.far = tuple((P.view(_RecordingStack), idx, rows)
+                              for P, idx, rows in ev.tables.far)
         _RecordingStack.calls = []
         assert ev(W).tobytes() == want.tobytes()
         passes = -(-q // ev.q_chunk)

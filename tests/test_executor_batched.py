@@ -120,6 +120,27 @@ class TestBatchGate:
         for loop in ("near", "upward", "coupling", "downward"):
             assert ir.loop(loop).lowered_to == "batched"
 
+    def test_batched_evaluator_records_plan_decision(self, points_2d,
+                                                     gaussian_kernel):
+        """The batched evaluator carries the plan's own lowering decision
+        (non-default thresholds included), with batching recorded on top,
+        instead of re-deciding with default thresholds."""
+        from repro import inspector
+        H = inspector(points_2d, kernel=gaussian_kernel,
+                      structure="h2-geometric", leaf_size=16,
+                      block_threshold=10**9, coarsen_threshold=100)
+        plan = H.evaluator.decision
+        assert plan.batch
+        assert (plan.block_near, plan.coarsen, plan.peel_root) == (
+            False, False, False)
+        got = H.batched_evaluator.decision
+        for name in ("block_near", "block_far", "coarsen", "peel_root",
+                     "block_threshold", "far_block_threshold",
+                     "coarsen_threshold", "batch_threshold"):
+            assert getattr(got, name) == getattr(plan, name), name
+        assert got.batch
+        assert got.reasons[:len(plan.reasons)] == plan.reasons
+
     def test_summary_reports_batch(self, hmatrix_2d):
         assert hmatrix_2d.summary()["lowering"]["batch"] is True
 
@@ -136,25 +157,18 @@ class TestBatchGate:
 class TestShapeBuckets:
     def test_gather_matches_accessors(self, hmatrix_2d):
         cds = hmatrix_2d.cds
-        for bucket in cds.near_buckets():
-            stack = bucket.gather(cds.near_buf)
-            assert stack.shape == (bucket.batch, *bucket.shape)
-            for b, (i, j) in enumerate(bucket.keys):
-                np.testing.assert_array_equal(stack[b], cds.near(i, j))
-
-    def test_buckets_cover_all_interactions(self, hmatrix_2d):
-        cds = hmatrix_2d.cds
-        near_keys = [k for b in cds.near_buckets() for k in b.keys]
-        assert sorted(near_keys) == sorted(cds.near_visit_order())
-        far_keys = [k for b in cds.far_buckets() for k in b.keys]
-        assert sorted(far_keys) == sorted(cds.far_visit_order())
+        for level in cds.basis_level_buckets():
+            for bucket in level:
+                stack = bucket.gather(cds.basis_buf)
+                assert stack.shape == (bucket.batch, *bucket.shape)
+                for b, v in enumerate(bucket.keys):
+                    np.testing.assert_array_equal(stack[b], cds.basis(v))
 
     def test_level_buckets_partition_basis_nodes(self, hmatrix_2d):
         cds = hmatrix_2d.cds
         seen = [v for lvl in cds.basis_level_buckets()
                 for b in lvl for v in b.keys]
         assert sorted(seen) == sorted(cds.basis_nodes())
-        assert cds.bucket_occupancy() > 0
 
 
 class TestBatchedPhases:

@@ -587,6 +587,40 @@ class TestServerEndToEnd:
             client._request("POST", "/v1/alice/matmul", *_encoded(body))
         assert (err.value.status, err.value.code) == (status, code)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("chunked", [False, True])
+    def test_non_finite_w_400(self, server, points_2d, bad, chunked):
+        """The codec carries NaN and inf; the matmul verb refuses them
+        with a typed 400 before anything reaches the dispatcher."""
+        client = _client(server)
+        client.compile(points_2d, kernel=KERNEL_DOC, plan=PLAN_DOC,
+                       points_id="grid")
+        W = np.ones((len(points_2d), 2))
+        W[5, 1] = bad
+        body = ({"points_id": "grid", "w_chunks": [W[:, :1], W[:, 1:]]}
+                if chunked else {"points_id": "grid", "w": W})
+        tail = TailWriter()
+        doc = {k: ([encode_array(np.ascontiguousarray(c), tail) for c in v]
+                   if isinstance(v, list) else
+                   encode_array(v, tail) if isinstance(v, np.ndarray) else v)
+               for k, v in body.items()}
+        with pytest.raises(ServerError, match="finite") as err:
+            client._request("POST", "/v1/alice/matmul", doc, tail)
+        assert (err.value.status, err.value.code) == (400, "non_finite")
+        assert client.stats()["service"]["served"] == 0
+        W[5, 1] = 1.0
+        assert np.isfinite(client.matmul("grid", W)).all()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_compile_points_400(self, server, points_2d, bad):
+        client = _client(server)
+        points = np.array(points_2d, dtype=np.float64)
+        points[3, 0] = bad
+        with pytest.raises(ServerError, match="finite") as err:
+            client.compile(points, kernel=KERNEL_DOC, plan=PLAN_DOC,
+                           points_id="grid")
+        assert (err.value.status, err.value.code) == (400, "non_finite")
+
     def test_frame_bounds_400(self, server, points_2d):
         """A byte range outside the tail is a 400 over the wire too."""
         client = _client(server)

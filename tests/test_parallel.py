@@ -9,6 +9,7 @@ shared-memory segments, no resource-tracker complaints).
 from __future__ import annotations
 
 import os
+import pickle
 import subprocess
 import sys
 
@@ -214,11 +215,61 @@ class TestPoolReuse:
         )
 
 
+class TestSharedTables:
+    """Workers run entries of the serial engine's own tables: they are
+    dealt at start, nothing is rebuilt, and only scratch is shared."""
+
+    def test_spawn_start_method_bytes_equal_batched(self, H, W, y_batched):
+        with ProcessEngine(H, num_workers=2, start_method="spawn") as eng:
+            np.testing.assert_array_equal(eng.matmul(W), y_batched)
+            assert eng.matmul(W[:, :1]).tobytes() == H.matmul(
+                W[:, :1], order="batched").tobytes()
+
+    def test_pool_shares_scratch_only(self, H):
+        with ProcessEngine(H, num_workers=2) as eng:
+            assert len(eng.segment_names()) == 4  # W, Y, T, S
+
+    def test_entries_are_the_serial_tables(self, H):
+        tables = H.batched_evaluator.tables
+        with ProcessEngine(H, num_workers=2) as eng:
+            shards = eng._shards
+        panels = [e[0] for shard in shards for e in shard.near]
+        assert sorted(map(id, panels)) == sorted(
+            id(e[0]) for e in tables.near)
+        dealt = sum(len(P) for shard in shards for P, _i, _r in shard.far)
+        assert dealt == sum(len(P) for P, _i, _r in tables.far)
+
+    def test_shard_pickle_rebinds_views(self, H):
+        """Spawn pickles a worker's entries: every narrow-path slice must
+        come back as a view of its unpickled panel (one copy, no extra
+        per-call work) and every transposed stack as a view of its
+        stack, in the layout the serial engine's GEMMs use."""
+        with ProcessEngine(H, num_workers=2) as eng:
+            shard = eng._shards[0]
+        back = pickle.loads(pickle.dumps(shard))
+        assert back.near and back.max_k == shard.max_k
+        for e, f in zip(shard.near, back.near, strict=True):
+            panel, slices = f[0], f[5]
+            np.testing.assert_array_equal(panel, e[0])
+            assert len(slices) == len(e[5])
+            for (rows, a, b), (want, a0, b0) in zip(slices, e[5],
+                                                     strict=True):
+                assert np.shares_memory(rows, panel)
+                assert (a, b) == (a0, b0)
+                np.testing.assert_array_equal(rows, want)
+        for level, level0 in zip(back.levels, shard.levels, strict=True):
+            for bucket, bucket0 in zip(level, level0, strict=True):
+                G, GT = bucket[0], bucket[1]
+                assert np.shares_memory(GT, G)
+                assert GT.strides == bucket0[1].strides
+                np.testing.assert_array_equal(GT, bucket0[1])
+
+
 class TestTeardown:
     def test_close_unlinks_all_segments(self, H, W):
         eng = ProcessEngine(H, num_workers=2)
         names = eng.segment_names()
-        assert names  # CDS bufs + W/Y/T/S scratch
+        assert names  # W/Y/T/S scratch
         eng.matmul(W)
         eng.close()
         if os.path.isdir("/dev/shm"):

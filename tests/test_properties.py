@@ -171,7 +171,10 @@ class TestEngineProperties:
         batched = generate_batched_evaluator(H.cds)
         W = np.random.default_rng(seed + 1).standard_normal((len(pts), q))
         Y = batched(W)
+        perm = H.tree.perm
+        Y_user = np.empty_like(Y)
+        Y_user[perm] = batched(W[perm])
         with ProcessEngine(H, num_workers=2) as eng:
-            assert eng.matmul(W, order="tree").tobytes() == Y.tobytes()
+            assert eng.matmul(W).tobytes() == Y_user.tobytes()
         Y_block = H.evaluator(W)
         assert np.linalg.norm(Y - Y_block) <= 1e-12 * np.linalg.norm(Y_block)

@@ -108,6 +108,30 @@ class TestValidationAndLifecycle:
         with pytest.raises(ValueError, match="rows"):
             service.submit("grid", np.ones(7))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raises_before_enqueue(self, points_2d,
+                                              gaussian_kernel, hmatrix_2d,
+                                              bad):
+        """A non-finite panel is refused at submit, so it never joins a
+        micro-batch: the good requests around it are served unharmed."""
+        n = len(points_2d)
+        good = [np.random.default_rng(i).random((n, 2)) for i in range(2)]
+        W = np.ones((n, 2))
+        W[5, 1] = bad
+        with KernelService(plan=PLAN, max_batch=8,
+                           max_wait_ms=50.0) as svc:
+            svc.register("grid", points_2d, kernel=gaussian_kernel,
+                         warm=True)
+            first = svc.submit("grid", good[0])
+            with pytest.raises(ValueError, match="finite"):
+                svc.submit("grid", W)
+            second = svc.submit("grid", good[1])
+            for fut, Wg in zip((first, second), good, strict=True):
+                np.testing.assert_allclose(fut.result(30),
+                                           hmatrix_2d.matmul(Wg),
+                                           atol=1e-12)
+            assert svc.stats()["served"] == 2
+
     def test_shape_reporting(self, service, points_2d):
         assert service.shape("grid") == (len(points_2d), len(points_2d))
         with pytest.raises(KeyError):

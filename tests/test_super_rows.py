@@ -5,7 +5,7 @@ cluster-tree node whose sibling leaves merged bottom-up while the panel
 (its rows by the union of their near columns) holds at most
 ``_PAD_LIMIT`` times the entries of the D blocks it carries. Wide
 products run one GEMM per panel, narrow ones one GEMM per leaf-row slice
-of it; the process engine derives from the same table.
+of it; the process engine deals out the same table's panels.
 """
 
 from __future__ import annotations
@@ -158,8 +158,7 @@ class TestGemmShapes:
         ev = generate_batched_evaluator(H.cds)
         W = np.random.default_rng(q).random((H.dim, q))
         want = ev(W)
-        env = ev._fn.__globals__
-        env["NEAR_PANELS"] = _recording(env["NEAR_PANELS"])
+        ev.tables.near = _recording(ev.tables.near)
         _RecordingPanel.rows = []
         np.testing.assert_array_equal(ev(W), want)
         sizes = sorted(b - a for a, b in _leaf_ranges(H).values())
@@ -167,8 +166,7 @@ class TestGemmShapes:
 
     def test_wide_batched_gemms_span_super_rows(self, H, panels):
         ev = generate_batched_evaluator(H.cds)
-        env = ev._fn.__globals__
-        env["NEAR_PANELS"] = _recording(env["NEAR_PANELS"])
+        ev.tables.near = _recording(ev.tables.near)
         _RecordingPanel.rows = []
         ev(np.random.default_rng(0).random((H.dim, WIDE_Q_MIN)))
         assert sorted(_RecordingPanel.rows) == sorted(
@@ -198,7 +196,11 @@ class TestEngineAgreement:
                                           H.matmul(W, order="batched"))
             assert certify_trace(eng.access_trace()) == []
 
-    def test_process_engine_keeps_super_rows_whole(self, H):
+    def test_process_engine_keeps_super_rows_whole(self, H, panels):
+        """Workers hold whole super-row panels of the serial engine's own
+        table: each one exactly once, none rebuilt."""
         with ProcessEngine(H, num_workers=3) as eng:
-            sharded = [tuple(g) for p in eng._plans for g in p.near_groups]
-        assert sorted(sharded) == sorted(_super_rows(H.cds))
+            dealt = [e[0] for shard in eng._shards for e in shard.near]
+        assert len(dealt) == len(panels)
+        assert sorted(map(id, dealt)) == sorted(
+            id(e[0]) for e in H.batched_evaluator.tables.near)

@@ -535,8 +535,8 @@ class TestExecutorPolicyResolutionRegression:
     def test_resolve_policy_honors_falsy_policy(self):
         assert resolve_policy(FalsyPolicy(order="original")).order \
             == "original"
-        fallback = ExecutionPolicy(order="tree")
-        assert resolve_policy(None, fallback=fallback).order == "tree"
+        fallback = ExecutionPolicy(order="auto")
+        assert resolve_policy(None, fallback=fallback).order == "auto"
         assert resolve_policy(FalsyPolicy(order="original"),
                               fallback=fallback).order == "original"
 
