@@ -189,10 +189,9 @@ def check_file(path: Path) -> list[str]:
                     f"{path.name}: {field}={value} after a server restart "
                     f"(gate: warm tenants rebuild nothing)")
     # Semantic gates for the static-analysis artifact (`repro analyze
-    # --json`): the shipped tree must carry zero unwaived findings,
+    # --json`): the shipped tree must carry zero unwaived findings, and
     # every waiver must state its reason (an unexplained waiver is just
-    # a suppressed bug), and a race replay recorded in the doc must have
-    # certified at least one engine trace with zero violations.
+    # a suppressed bug).
     if path.name == "analysis_findings.json" and isinstance(payload, dict):
         unwaived = payload.get("unwaived")
         if unwaived is None:
@@ -206,21 +205,12 @@ def check_file(path: Path) -> list[str]:
                 problems.append(
                     f"{path.name}: waiver without a reason at "
                     f"{f.get('path')}:{f.get('line')}")
-        races = payload.get("races")
-        if races is not None:
-            if races.get("traces", 0) < 1:
-                problems.append(
-                    f"{path.name}: race replay certified no traces "
-                    f"(gate: the replay must actually replay)")
-            if races.get("violations", 0) != 0:
-                problems.append(
-                    f"{path.name}: {races['violations']} race violation(s) "
-                    f"in replayed engine traces (gate: zero)")
         # The concurrency certifier (DESIGN.md §14): the lock-acquisition
         # graph must be acyclic, the happens-before replay must certify
-        # at least one recorded sync trace violation-free, and the
-        # schedule explorer must have exercised real interleaving
-        # diversity without a single failing schedule.
+        # at least one process-engine trace and at least one thread-tier
+        # trace, violation-free, and the schedule explorer must have
+        # exercised real interleaving diversity without a single failing
+        # schedule.
         lock_order = payload.get("lock_order")
         if lock_order is not None:
             if lock_order.get("unwaived_cycles", 0) != 0:
@@ -233,10 +223,12 @@ def check_file(path: Path) -> list[str]:
                     f"(gate: the analysis must actually analyze)")
         sync = payload.get("sync")
         if sync is not None:
-            if sync.get("traces", 0) < 1:
-                problems.append(
-                    f"{path.name}: happens-before replay certified no sync "
-                    f"traces (gate: the replay must actually replay)")
+            for kind in ("engine", "thread"):
+                if sync.get(f"{kind}_traces", 0) < 1:
+                    problems.append(
+                        f"{path.name}: happens-before replay certified no "
+                        f"{kind} traces (gate: the replay must actually "
+                        f"replay both tiers)")
             if sync.get("violations", 0) != 0:
                 problems.append(
                     f"{path.name}: {sync['violations']} happens-before "

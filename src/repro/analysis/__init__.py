@@ -7,11 +7,11 @@ produces the structure sets — ``blockset`` for the reduction loops and
 and the CDS data layout.
 
 The *correctness analysis* side (DESIGN.md §13) proves invariants the
-tests can only sample: project-aware AST lint rules (:mod:`.lint`), the
-shared-memory race certifier over ProcessEngine traces (:mod:`.races`),
-and the thread-tier concurrency certifier (DESIGN.md §14): static
-lock-order analysis (:mod:`.lockorder`), the vector-clock happens-before
-checker over recorded sync traces (:mod:`.happens_before`), and the
+tests can only sample: project-aware AST lint rules (:mod:`.lint`) and
+the concurrency certifier (DESIGN.md §14): static lock-order analysis
+(:mod:`.lockorder`), the vector-clock happens-before checker over sync
+traces of both tiers — the thread tier's recorded traces and the
+process engine's barrier protocol (:mod:`.happens_before`) — and the
 DPOR-lite schedule explorer (:mod:`.explore`). All are wired into the ``repro
 analyze`` CLI verb; their outcome counters (:mod:`.counters`) surface in
 ``repro stats`` and the run manifest.
@@ -33,6 +33,8 @@ from repro.analysis.happens_before import (
     certify_sync_trace,
     certify_sync_trace_dir,
     certify_sync_trace_file,
+    is_engine_trace,
+    seed_overlap_violation,
     seed_unordered_pair,
 )
 from repro.analysis.counters import (
@@ -52,16 +54,6 @@ from repro.analysis.lint import (
     lint_paths,
     lint_source,
 )
-from repro.analysis.races import (
-    RaceViolation,
-    certify_trace,
-    certify_trace_dir,
-    certify_trace_file,
-    load_trace,
-    save_trace,
-    seed_overlap_violation,
-    trace_from_tables,
-)
 from repro.analysis.structure_sets import BlockSet, CoarsenLevel, CoarsenSet, SubTree
 
 __all__ = [
@@ -80,7 +72,6 @@ __all__ = [
     "LOCK_RULES",
     "LockOrderReport",
     "RULES",
-    "RaceViolation",
     "ScenarioSuite",
     "ScheduleExplorer",
     "ScheduleReport",
@@ -90,18 +81,13 @@ __all__ = [
     "certify_sync_trace",
     "certify_sync_trace_dir",
     "certify_sync_trace_file",
-    "certify_trace",
-    "certify_trace_dir",
-    "certify_trace_file",
     "explore_default_scenarios",
     "findings_to_doc",
+    "is_engine_trace",
     "lint_paths",
     "lint_source",
-    "load_trace",
     "reset_analysis_counters",
-    "save_trace",
     "schedule_footprint",
     "seed_overlap_violation",
     "seed_unordered_pair",
-    "trace_from_tables",
 ]

@@ -1,7 +1,7 @@
 """Process-global counters for the analysis layer (DESIGN.md §13).
 
-Every analysis pass that runs in-process — the race certifier replaying
-engine traces, the lock-order and happens-before certifiers — increments
+Every analysis pass that runs in-process — the lock-order certifier and
+the happens-before checker replaying engine and thread traces — increments
 a named counter here. :func:`analysis_counters` surfaces the snapshot
 through ``collect_stats()["analysis"]`` and the run manifest's
 ``stats.analysis`` section, so a manifest records not just *what* a run
@@ -22,13 +22,11 @@ __all__ = ["analysis_counters", "bump_analysis_counter",
 #: The fixed counter vocabulary. A typo'd name must fail loudly rather
 #: than mint a new counter nobody aggregates.
 _NAMES = (
-    "races_certified",     # engine traces certified race-free
-    "races_flagged",       # engine traces with unordered conflicting writes
     "lint_findings",       # unwaived lint findings reported by `repro analyze`
     "lockorder_certified",   # lock-order graphs certified acyclic
     "lockorder_cycles",      # lock-order cycles found (deadlock potential)
-    "sync_certified",        # sync traces certified free of HB violations
-    "sync_flagged",          # sync traces with unordered conflicting accesses
+    "sync_certified",        # engine/thread traces certified free of HB violations
+    "sync_flagged",          # engine/thread traces with unordered conflicts
     "schedules_explored",    # inequivalent thread schedules explored
     "schedule_failures",     # explored schedules that failed or deadlocked
 )

@@ -1,16 +1,20 @@
-"""Vector-clock happens-before checker for recorded sync traces.
+"""Vector-clock happens-before checker for sync traces of both tiers.
 
-The thread-tier counterpart of :mod:`repro.analysis.races`: where the
-race certifier proves the *process* engine's barrier protocol orders
-every shared-array access, this module proves the *thread* tier's locks
-actually order every access to a ``# guarded-by:`` annotated attribute.
-The input is a sync trace recorded by
+One model certifies both concurrency tiers. For the *thread* tier it
+proves that the locks really order every access to a ``# guarded-by:``
+annotated attribute; the input is a sync trace recorded by
 :mod:`repro.observability.sync` — lock acquire/release, thread
 fork/join, Condition wait cycles, Future set/result, queue put/get, and
-``read``/``write`` events for the instrumented guarded attributes.
+``read``/``write`` events for the instrumented guarded attributes. For
+the *process* tier it proves that the engine's barrier protocol orders
+every shared-array access: :meth:`repro.core.parallel.ProcessEngine.access_trace`
+writes the protocol's pipe messages as ``q_put``/``q_get`` events (one
+object per pipe direction) and each worker's table entries as
+``read``/``write`` events carrying the row interval ``rows: [lo, hi)``
+they touch.
 
 Replay is classic vector-clock happens-before (the Djit+ scheme: per
-variable, the last access epoch of each thread per mode):
+variable, the access epochs of each thread per mode):
 
 * each thread ``t`` owns a clock component; its events advance it;
 * ``release(L)`` publishes the releaser's clock into ``L``'s clock
@@ -27,14 +31,21 @@ variable, the last access epoch of each thread per mode):
   invent one, and the dispatcher protocol this certifies drains whole
   batches anyway);
 * two accesses to the same ``(obj, attr)`` variable conflict when they
-  come from different threads and at least one writes; they are a
-  violation when neither happens-before the other.
+  come from different threads, at least one writes and their rows
+  overlap (an access without ``rows`` covers the whole variable); they
+  are a violation when neither happens-before the other. A row-carrying
+  access keeps every epoch of its thread with its interval, since the
+  thread's later accesses to other rows do not cover it; an access
+  without rows replaces them all, so a thread-tier thread keeps only its
+  last epoch per mode.
 
 An empty report certifies the execution: every guarded access really
 was ordered by the synchronisation the annotation names.
-:func:`seed_unordered_pair` doctors a clean trace by re-attributing one
-write to a ghost thread no sync event ever orders — the mutation the
-checker must flag, proving it is live.
+:func:`seed_unordered_pair` doctors a clean thread trace by
+re-attributing one write to a ghost thread no sync event ever orders,
+and :func:`seed_overlap_violation` stretches one worker's write of an
+engine trace over another worker's rows in the same barrier phase —
+the mutations the checker must flag, proving it is live.
 """
 
 from __future__ import annotations
@@ -50,6 +61,8 @@ __all__ = [
     "certify_sync_trace",
     "certify_sync_trace_dir",
     "certify_sync_trace_file",
+    "is_engine_trace",
+    "seed_overlap_violation",
     "seed_unordered_pair",
 ]
 
@@ -59,7 +72,11 @@ SYNC_TRACE_VERSION = 1
 
 @dataclass(frozen=True)
 class HBViolation:
-    """Two unordered conflicting accesses to one guarded attribute."""
+    """Two unordered conflicting accesses to one guarded attribute.
+
+    ``rows_a``/``rows_b`` are the ``[lo, hi)`` rows of accesses that
+    carry them (engine traces), ``None`` for whole-variable accesses.
+    """
 
     attr: str
     guard: str
@@ -69,11 +86,17 @@ class HBViolation:
     thread_b: str
     mode_b: str
     seq_b: int
+    rows_a: tuple[int, int] | None = None
+    rows_b: tuple[int, int] | None = None
 
     def format(self) -> str:
+        def rows(span):
+            return "" if span is None else f" rows [{span[0]}, {span[1]})"
+
         return (f"{self.attr} (guarded-by {self.guard}): "
-                f"{self.thread_a} {self.mode_a} at seq {self.seq_a} and "
-                f"{self.thread_b} {self.mode_b} at seq {self.seq_b} are "
+                f"{self.thread_a} {self.mode_a}{rows(self.rows_a)} at seq "
+                f"{self.seq_a} and {self.thread_b} {self.mode_b}"
+                f"{rows(self.rows_b)} at seq {self.seq_b} are "
                 f"unordered (no happens-before path)")
 
 
@@ -103,9 +126,10 @@ def certify_sync_trace(trace: dict) -> list[HBViolation]:
     queue_vc: dict[int, dict[int, int]] = {}     # queue obj -> producer VCs
     forks: dict[int, dict[int, int]] = {}        # token -> parent VC
     ends: dict[int, dict[int, int]] = {}         # token -> child-final VC
-    # var -> thread -> (own clock at access, seq); split by mode.
-    last_write: dict[tuple[int, str], dict[int, tuple[int, int]]] = {}
-    last_read: dict[tuple[int, str], dict[int, tuple[int, int]]] = {}
+    # var -> thread -> [(own clock at access, seq, rows)] in program
+    # order, one table per mode; rows None covers the whole variable.
+    writes: dict[tuple[int, str], dict[int, list]] = {}
+    reads: dict[tuple[int, str], dict[int, list]] = {}
     violations: list[HBViolation] = []
     flagged: set[tuple[int, str, int, int]] = set()
 
@@ -121,33 +145,43 @@ def certify_sync_trace(trace: dict) -> list[HBViolation]:
         vc = vc_of(tid)
         vc[tid] = vc.get(tid, 0) + 1
 
-    def ordered(epoch: tuple[int, int], by: int, vc: dict[int, int]) -> bool:
-        return epoch[0] <= vc.get(by, 0)
-
     def check(var: tuple[int, str], tid: int, mode: str, seq: int,
-              guard: str) -> None:
+              guard: str, rows: tuple[int, int] | None) -> None:
         vc = vc_of(tid)
-        against = [("write", last_write.get(var, {}))]
+        against = [("write", writes)]
         if mode == "write":
-            against.append(("read", last_read.get(var, {})))
+            against.append(("read", reads))
         for other_mode, table in against:
-            for other_tid, epoch in table.items():
+            for other_tid, entries in table.get(var, {}).items():
                 if other_tid == tid:
                     continue  # program order
-                if ordered(epoch, other_tid, vc):
-                    continue
-                key = (var[0], var[1], other_tid, tid)
-                if key in flagged:
-                    continue  # one report per (var, thread-pair)
-                flagged.add(key)
-                violations.append(HBViolation(
-                    attr=var[1], guard=guard,
-                    thread_a=names.get(other_tid, str(other_tid)),
-                    mode_a=other_mode, seq_a=epoch[1],
-                    thread_b=names.get(tid, str(tid)),
-                    mode_b=mode, seq_b=seq))
-        table = last_write if mode == "write" else last_read
-        table.setdefault(var, {})[tid] = (vc.get(tid, 1), seq)
+                seen = vc.get(other_tid, 0)
+                # Newest first: once one entry is ordered, so are all
+                # the thread's earlier ones.
+                for clock, other_seq, other_rows in reversed(entries):
+                    if clock <= seen:
+                        break
+                    if not (rows is None or other_rows is None or (
+                            other_rows[0] < rows[1]
+                            and rows[0] < other_rows[1])):
+                        continue  # disjoint rows; None is every row
+                    key = (var[0], var[1], other_tid, tid)
+                    if key not in flagged:  # one report per (var, thread-pair)
+                        flagged.add(key)
+                        violations.append(HBViolation(
+                            attr=var[1], guard=guard,
+                            thread_a=names.get(other_tid, str(other_tid)),
+                            mode_a=other_mode, seq_a=other_seq,
+                            thread_b=names.get(tid, str(tid)),
+                            mode_b=mode, seq_b=seq, rows_a=other_rows,
+                            rows_b=rows))
+                    break
+        own = (writes if mode == "write" else reads).setdefault(var, {})
+        entry = (vc.get(tid, 1), seq, rows)
+        if rows is None:
+            own[tid] = [entry]  # covers every earlier entry
+        else:
+            own.setdefault(tid, []).append(entry)
 
     for ev in sorted(trace.get("events", ()), key=lambda e: e["seq"]):
         op, tid = ev["op"], int(ev["thread"])
@@ -189,8 +223,10 @@ def certify_sync_trace(trace: dict) -> list[HBViolation]:
             if produced:
                 _join(vc_of(tid), produced)
         elif op in ("read", "write"):
+            rows = ev.get("rows")
             check((int(ev["obj"]), ev["name"]), tid, op, int(ev["seq"]),
-                  ev.get("guard", "?"))
+                  ev.get("guard", "?"),
+                  None if rows is None else (int(rows[0]), int(rows[1])))
         # "notify" is informational: the edge rides the release after it.
 
     bump_analysis_counter(
@@ -229,6 +265,37 @@ def seed_unordered_pair(trace: dict) -> dict:
     raise ValueError(
         "trace has no guarded attribute with a write and a second "
         "access; record a workload that touches guarded state")
+
+
+def seed_overlap_violation(trace: dict) -> dict:
+    """A doctored copy of a clean engine trace with two workers' writes
+    overlapped.
+
+    Finds two row-carrying writes to one array in one barrier phase (the
+    same ``guard``) by different threads — unordered, and disjoint only
+    by construction — and stretches the later one over the earlier one's
+    rows: the single-writer violation the checker must flag. Raises
+    ``ValueError`` when no phase has two writers of one array (e.g. a
+    one-worker engine): the mutation needs a victim.
+    """
+    doctored = json.loads(json.dumps(trace))
+    first: dict[tuple, dict] = {}
+    for ev in doctored.get("events", ()):
+        if ev["op"] != "write" or "rows" not in ev:
+            continue
+        prior = first.setdefault((ev["obj"], ev.get("guard")), ev)
+        if prior["thread"] != ev["thread"]:
+            ev["rows"] = list(prior["rows"])
+            return doctored
+    raise ValueError(
+        "trace has no phase with two distinct writers; run the engine "
+        "with >= 2 workers to seed an overlap")
+
+
+def is_engine_trace(trace: dict) -> bool:
+    """Whether ``trace`` records a process engine's barrier protocol:
+    its shared-array accesses carry ``rows``, a thread trace's never do."""
+    return any("rows" in ev for ev in trace.get("events", ()))
 
 
 def certify_sync_trace_file(path) -> list[HBViolation]:

@@ -495,7 +495,6 @@ def cmd_stats(args) -> int:
 def cmd_analyze(args) -> int:
     from repro.analysis import (
         bump_analysis_counter,
-        certify_trace_dir,
         findings_to_doc,
         lint_paths,
     )
@@ -515,23 +514,6 @@ def cmd_analyze(args) -> int:
     failures = len(unwaived)
 
     extra: dict = {"paths": [str(p) for p in paths]}
-    if args.races:
-        try:
-            results = certify_trace_dir(args.races)
-        except (FileNotFoundError, ValueError) as exc:
-            print(f"analyze: {exc}", file=sys.stderr)
-            return 2
-        race_count = 0
-        for name, violations in sorted(results.items()):
-            for violation in violations:
-                print(f"{name}: RACE {violation.format()}")
-                race_count += 1
-        extra["races"] = {"traces": len(results),
-                          "violations": race_count}
-        failures += race_count
-        print(f"analyze: {len(results)} engine trace(s) certified, "
-              f"{race_count} race(s)")
-
     if args.threads:
         from repro.analysis import analyze_lock_order
 
@@ -550,23 +532,34 @@ def cmd_analyze(args) -> int:
             out.write_text(canonical_json(report.summary()))
             print(f"analyze: lock graph -> {out}")
     if args.sync_traces:
-        from repro.analysis import certify_sync_trace_dir
+        from repro.analysis import certify_sync_trace, is_engine_trace
+        from repro.observability.sync import load_sync_trace
 
-        try:
-            sync_results = certify_sync_trace_dir(args.sync_traces)
-        except (FileNotFoundError, ValueError) as exc:
-            print(f"analyze: {exc}", file=sys.stderr)
+        paths = sorted(Path(args.sync_traces).glob("*.synctrace.json"))
+        if not paths:
+            print(f"analyze: no sync traces under {args.sync_traces}",
+                  file=sys.stderr)
             return 2
-        sync_count = 0
-        for name, violations in sorted(sync_results.items()):
+        sync_count = engine = 0
+        for path in paths:
+            try:
+                trace = load_sync_trace(path)
+                violations = certify_sync_trace(trace)
+            except ValueError as exc:
+                print(f"analyze: {exc}", file=sys.stderr)
+                return 2
+            engine += is_engine_trace(trace)
             for violation in violations:
-                print(f"{name}: UNORDERED {violation.format()}")
+                print(f"{path.name}: UNORDERED {violation.format()}")
                 sync_count += 1
-        extra["sync"] = {"traces": len(sync_results),
+        extra["sync"] = {"traces": len(paths),
+                         "engine_traces": engine,
+                         "thread_traces": len(paths) - engine,
                          "violations": sync_count}
         failures += sync_count
-        print(f"analyze: {len(sync_results)} sync trace(s) certified, "
-              f"{sync_count} happens-before violation(s)")
+        print(f"analyze: {len(paths)} sync trace(s) certified, "
+              f"{sync_count} happens-before violation(s) ({engine} engine, "
+              f"{len(paths) - engine} thread)")
     if args.deadlocks:
         from repro.analysis import explore_default_scenarios
 
@@ -860,19 +853,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "analyze",
-        help="project static analysis: lint rules R001-R004, race "
-             "certification, concurrency certification (C001, "
-             "happens-before, schedule exploration)")
+        help="project static analysis: lint rules R001-R004, "
+             "concurrency certification (C001, happens-before over "
+             "engine and thread traces, schedule exploration)")
     p.add_argument("paths", nargs="*",
                    help="files/directories to lint (default: src/repro)")
     p.add_argument("--strict", action="store_true",
-                   help="exit 1 on any unwaived finding, race, lock-order "
+                   help="exit 1 on any unwaived finding, lock-order "
                         "cycle, happens-before violation, or schedule "
                         "failure")
     p.add_argument("--json", default=None,
                    help="write the machine-readable findings JSON here")
-    p.add_argument("--races", default=None, metavar="DIR",
-                   help="certify every engine access trace (*.json) in DIR")
     p.add_argument("--threads", action="store_true",
                    help="build + certify the static lock-acquisition "
                         "graph (rule C001: acyclic)")
@@ -881,7 +872,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "summary here (the golden-file shape)")
     p.add_argument("--sync-traces", default=None, metavar="DIR",
                    help="replay every sync trace (*.synctrace.json) in "
-                        "DIR through the happens-before checker")
+                        "DIR, engine and thread traces alike, through the "
+                        "happens-before checker")
     p.add_argument("--deadlocks", action="store_true",
                    help="explore perturbed thread schedules over the "
                         "stock serving scenarios (DPOR-lite)")

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.analysis.structure_sets import BlockSet, CoarsenSet
 from repro.api.policy import ExecutionPolicy, resolve_policy
-from repro.codegen.emit import GeneratedEvaluator
+from repro.codegen.emit import BatchedTables, GeneratedEvaluator
 from repro.compression.factors import Factors
 from repro.storage.cds import CDSMatrix
 from repro.utils.validation import check_finite
@@ -29,7 +29,6 @@ class HMatrix:
     evaluator: GeneratedEvaluator
     metadata: dict = field(default_factory=dict)
     _batched: GeneratedEvaluator | None = field(default=None, repr=False)
-    _batched_built: bool = field(default=False, repr=False)
 
     @property
     def factors(self) -> Factors:
@@ -65,20 +64,31 @@ class HMatrix:
         return self.cds.far_blockset
 
     # ------------------------------------------------------------- evaluation
+    def _batched_program(self) -> GeneratedEvaluator:
+        """The batched program over this plan's tables, built on first use
+        and cached — the inspector already paid for the structure analysis
+        and the lowering decision, so this is just table gathering."""
+        if self._batched is None:
+            from repro.codegen.emit import generate_batched_evaluator
+            self._batched = generate_batched_evaluator(
+                self.cds, decision=self.evaluator.decision)
+        return self._batched
+
+    @property
+    def batched_tables(self) -> BatchedTables:
+        """The batched program's tables, built once per plan. The process
+        engine runs them whatever the lowering decision, so a plan whose
+        batching was rejected builds them too, once."""
+        return self._batched_program().tables
+
     @property
     def batched_evaluator(self) -> GeneratedEvaluator | None:
-        """The bucketed batched-GEMM evaluator, or None when the cost model
-        rejected batch lowering (low bucket occupancy). Built lazily on
-        first use and cached — the inspector already paid for the structure
-        analysis and the lowering decision, so this is just table gathering.
-        """
-        if not self._batched_built:
-            self._batched_built = True
-            if self.evaluator.decision.batch:
-                from repro.codegen.emit import generate_batched_evaluator
-                self._batched = generate_batched_evaluator(
-                    self.cds, decision=self.evaluator.decision)
-        return self._batched
+        """The bucketed batched-GEMM evaluator over :attr:`batched_tables`,
+        or None when the cost model rejected batch lowering (low bucket
+        occupancy)."""
+        if not self.evaluator.decision.batch:
+            return None
+        return self._batched_program()
 
     def matmul(self, W: np.ndarray, pool=None, order: str | None = None,
                q_chunk: int | None = None,

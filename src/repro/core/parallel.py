@@ -5,8 +5,8 @@ functions over one :class:`~repro.codegen.emit.BatchedTables`. This
 module deals the entries of those same tables across a persistent pool
 of **worker processes**:
 
-* the tables are the HMatrix's own (built once, when the plan batches)
-  or one build for the engine (when the cost model rejected batching);
+* the tables are the HMatrix's own (``H.batched_tables``, built once per
+  plan, whether or not the cost model accepted batching);
 * whole entries are dealt to workers with a deterministic LPT
   (longest-processing-time) packing over their sizes: a near super-row
   panel, a coupling-stack member (one output node) or a leaf-bucket
@@ -28,6 +28,11 @@ calls/chunks — the process analogue of the inspector-executor contract's
 "inspect once, execute many". :class:`~repro.core.executor.Executor` and
 :class:`~repro.api.session.Session` own engine lifecycles and tear them
 down on ``close()``.
+
+:meth:`ProcessEngine.access_trace` writes the barrier protocol as a sync
+trace (DESIGN.md §13.2) — pipe messages and each worker's row-interval
+accesses to the shared arrays — which the happens-before checker of the
+thread tier (:mod:`repro.analysis.happens_before`) certifies.
 """
 
 from __future__ import annotations
@@ -48,13 +53,17 @@ from repro.api.policy import DEFAULT_Q_CHUNK, effective_cpu_count
 from repro.codegen.emit import (
     BatchedTables,
     _tree_bucket,
-    build_batched_tables,
     down_pass,
     far_pass,
     near_pass,
     up_pass,
 )
 from repro.observability.faults import active_fault_plan
+from repro.observability.sync import (
+    SYNC_TRACE_DIR_ENV,
+    SYNC_TRACE_VERSION,
+    maybe_dump_sync_trace,
+)
 from repro.utils.validation import check_finite
 
 __all__ = ["ProcessEngine", "WorkerCrashError", "default_start_method",
@@ -73,11 +82,6 @@ PHASE_NAMES = {
     _PHASE_FAR: "far",
     _PHASE_LEAF_DOWN: "leaf_down",
 }
-
-
-#: Monotone suffix for ``MATROX_TRACE_DIR`` dump filenames (several
-#: engines may close within one process; pid alone would collide).
-_trace_dump_seq = 0
 
 
 class WorkerCrashError(RuntimeError):
@@ -201,6 +205,108 @@ def _run_phase(tables: BatchedTables, phase: int, W, Y, T, S, buf) -> None:
 
 
 # --------------------------------------------------------------------------
+# The protocol as a sync trace.
+# --------------------------------------------------------------------------
+
+def _row_runs(rows) -> list[tuple[int, int]]:
+    """The rows of an index array as maximal ``[lo, hi)`` intervals."""
+    rows = np.unique(np.asarray(rows))
+    if not rows.size:
+        return []
+    cuts = np.flatnonzero(np.diff(rows) != 1) + 1
+    return [(int(run[0]), int(run[-1]) + 1) for run in np.split(rows, cuts)]
+
+
+def _worker_accesses(tables: BatchedTables) -> dict[int, list[tuple]]:
+    """``phase -> [(mode, array, lo, hi)]`` for one worker's share.
+
+    A near super-row is one panel: a wide product writes all its rows
+    with one GEMM, so its Y write is the panel's whole row range, and it
+    reads the W rows of its gather runs. A leaf-bucket member reads its
+    gather rows and writes its skeleton rows of T (phase 1), and the
+    transpose in phase 3; a coupling-stack member writes its output rows
+    of S and reads its operand rows of T (phase 2).
+    """
+    acc: dict[int, set] = {phase: set() for phase in PHASE_NAMES}
+
+    def add(phase, mode, array, runs):
+        acc[phase].update((mode, array, lo, hi) for lo, hi in runs)
+
+    for _panel, runs, _k, si, ei, _slices in tables.near:
+        add(_PHASE_NEAR_AND_LEAF_UP, "write", "Y", [(si, ei)])
+        add(_PHASE_NEAR_AND_LEAF_UP, "read", "W", runs)
+    for level in tables.levels:
+        for _G, _GT, gather, _flat, own, _own2d, from_w in level:
+            add(_PHASE_NEAR_AND_LEAF_UP, "read", "W" if from_w else "T",
+                _row_runs(gather))
+            add(_PHASE_NEAR_AND_LEAF_UP, "write", "T", _row_runs(own))
+            add(_PHASE_LEAF_DOWN, "read", "S", _row_runs(own))
+            add(_PHASE_LEAF_DOWN, "write", "Y" if from_w else "S",
+                _row_runs(gather))
+    for _P, idx, rows in tables.far:
+        add(_PHASE_FAR, "write", "S", _row_runs(rows))
+        add(_PHASE_FAR, "read", "T", _row_runs(idx))
+    return {phase: sorted(a) for phase, a in acc.items()}
+
+
+#: The master's own accesses after each worker phase, whole arrays: the
+#: interior up and down levels, then the read-out of Y.
+_MASTER_STEPS = {
+    _PHASE_NEAR_AND_LEAF_UP: ("master_up", (("read", "T"), ("write", "T"))),
+    _PHASE_FAR: ("master_down", (("read", "S"), ("write", "S"))),
+    _PHASE_LEAF_DOWN: ("readout", (("read", "Y"),)),
+}
+
+
+def _protocol_trace(shards, n: int, rank_rows: int) -> dict:
+    """One column chunk of the barrier protocol as a sync trace.
+
+    Thread 0 is the master and thread ``w + 1`` worker ``w``. A barrier
+    phase is the messages it sends: the master puts the command on each
+    worker's command pipe, the worker takes it, makes its accesses and
+    puts its reply on its reply pipe, and the master takes every reply.
+    Each pipe direction is its own object with one producer, so the
+    checker's queue rule adds no edge the protocol does not have. Array
+    accesses are ``read``/``write`` events on ``W``/``Y``/``T``/``S``
+    with their ``rows``; the guard names the phase.
+    """
+    arrays = {"W": (0, n), "Y": (1, n), "T": (2, rank_rows),
+              "S": (3, rank_rows)}
+    events: list[dict] = []
+
+    def emit(op, thread, **fields):
+        events.append({"seq": len(events) + 1, "op": op, "thread": thread,
+                       **fields})
+
+    def access(thread, phase, mode, array, lo, hi):
+        emit(mode, thread, obj=arrays[array][0], name=array,
+             guard=f"barrier:{phase}", rows=[int(lo), int(hi)])
+
+    def master_step(phase, accesses):
+        for mode, array in accesses:
+            access(0, phase, mode, array, 0, arrays[array][1])
+
+    master_step("setup", (("write", "W"), ("write", "Y"), ("write", "S")))
+    workers = [(w + 1, _worker_accesses(t)) for w, t in enumerate(shards)]
+    command, reply = 4, 4 + len(workers)
+    for phase, (step, accesses) in _MASTER_STEPS.items():
+        for thread, _acc in workers:
+            emit("q_put", 0, obj=command + thread)
+        for thread, acc in workers:
+            emit("q_get", thread, obj=command + thread)
+            for mode, array, lo, hi in acc[phase]:
+                access(thread, PHASE_NAMES[phase], mode, array, lo, hi)
+            emit("q_put", thread, obj=reply + thread)
+        for thread, _acc in workers:
+            emit("q_get", 0, obj=reply + thread)
+        master_step(step, accesses)
+    threads = {"0": "master"}
+    threads.update({str(t): f"worker{t - 1}" for t, _acc in workers})
+    return {"sync_trace_version": SYNC_TRACE_VERSION, "name": "engine",
+            "threads": threads, "events": events}
+
+
+# --------------------------------------------------------------------------
 # Worker process entry point.
 # --------------------------------------------------------------------------
 
@@ -308,20 +414,16 @@ class ProcessEngine:
         self._conns: list = []
         self._segments: list = []
 
-        # The serial engine's tables when the plan batches; one build of
-        # them for this engine when the cost model rejected batching.
-        batched = H.batched_evaluator
-        tables = (batched.tables if batched is not None
-                  else build_batched_tables(H.cds))
+        # The plan's own tables (the serial engine's when it batches).
+        tables = H.batched_tables
         self.rank_rows = tables.rank_rows
         # Interior tree levels stay in the master: they are strictly
         # level-ordered and tiny next to the near/far panels.
         self._interior = tuple(
             tuple(b for b in level if not b[-1]) for level in tables.levels
         )
-        # Retained for the race certifier (repro.analysis.races): these
-        # tables *are* the engine's access trace — workers run exactly
-        # these entries, every call.
+        # Retained for access_trace(): these tables *are* the engine's
+        # accesses — workers run exactly these entries, every call.
         self._shards = _deal(tables, max(self.num_workers, 1))
         if self.num_workers == 0:
             # Inline mode: same shard, no pool, plain scratch arrays.
@@ -481,37 +583,24 @@ class ProcessEngine:
         return self._H_ref()
 
     def access_trace(self) -> dict:
-        """The engine's shared-memory access trace (DESIGN.md §13).
+        """The engine's barrier protocol as a sync trace (DESIGN.md §13.2).
 
-        A JSON-able record of every (actor, phase, array, row-interval,
-        read/write) access the 3-phase protocol performs, derived from
-        the table entries each worker runs — feed it to
-        :func:`repro.analysis.races.certify_trace` to prove the
-        single-writer-per-row invariant for this engine instance.
+        Derived from the table entries each worker runs, so it covers
+        every call: feed it to
+        :func:`repro.analysis.happens_before.certify_sync_trace` to prove
+        that the protocol orders every conflicting shared-array access.
         """
-        from repro.analysis.races import trace_from_tables
-
-        return trace_from_tables(
-            self._shards, n=self.n, rank_rows=self.rank_rows,
-            num_workers=self.num_workers, calls=self.calls,
-            chunks=self.chunks)
+        return _protocol_trace(self._shards, self.n, self.rank_rows)
 
     def _maybe_dump_trace(self) -> None:
-        """Best-effort trace dump at close when ``MATROX_TRACE_DIR`` is
-        set and the engine actually ran — the CI analyze job replays
-        these through ``repro analyze --races`` after the chaos and
-        equivalence suites."""
-        directory = os.environ.get("MATROX_TRACE_DIR")
-        if not directory or self.calls == 0:
-            return
-        global _trace_dump_seq
-        _trace_dump_seq += 1
-        name = f"trace-{os.getpid()}-{_trace_dump_seq}.json"
-        from repro.analysis.races import save_trace
-
-        # A full/read-only trace dir must not fail close().
-        with contextlib.suppress(OSError):
-            save_trace(self.access_trace(), os.path.join(directory, name))
+        """Best-effort trace dump at close when ``MATROX_SYNC_TRACE_DIR``
+        is set and the engine actually ran — the CI analyze job replays
+        these with the thread tier's traces through ``repro analyze
+        --sync-traces``."""
+        if self.calls and os.environ.get(SYNC_TRACE_DIR_ENV):
+            # A full/read-only trace dir must not fail close().
+            with contextlib.suppress(OSError):
+                maybe_dump_sync_trace(self.access_trace())
 
     def worker_pids(self) -> list[int]:
         return [p.pid for p in self._workers]

@@ -36,7 +36,10 @@ notify fut_set fut_get q_put q_get read write``. ``read``/``write``
 events carry the attribute's canonical ``name`` (``Class.attr``), the
 owning instance ``obj`` id, the declared ``guard`` and the list of lock
 names ``held`` by the accessing thread — diagnostics for the checker's
-violation reports.
+violation reports. The process engine writes its barrier protocol in
+the same format (:meth:`repro.core.parallel.ProcessEngine.access_trace`);
+its ``read``/``write`` events name a shared array and carry the
+``rows: [lo, hi)`` they touch.
 """
 
 from __future__ import annotations
@@ -77,7 +80,7 @@ __all__ = [
 SYNC_TRACE_VERSION = 1
 
 #: Environment variable naming a directory where the test fixtures dump
-#: recorded sync traces (mirrors ``MATROX_TRACE_DIR`` for engine traces).
+#: recorded sync traces and process engines dump their protocol traces.
 SYNC_TRACE_DIR_ENV = "MATROX_SYNC_TRACE_DIR"
 
 _tracer: "SyncTracer | None" = None
@@ -156,10 +159,6 @@ class SyncTracer:
             elif op in ("read", "write"):
                 ev["held"] = [h[0] for h in self._held.get(ident, [])]
             self._events.append(ev)
-
-    def thread_count(self) -> int:
-        with self._lock:
-            return len(self._threads)
 
     def to_doc(self) -> dict[str, Any]:
         """Snapshot the trace as a JSON-ready document."""
@@ -625,21 +624,23 @@ _dump_counter = 0
 _dump_lock = threading.Lock()
 
 
-def maybe_dump_sync_trace(tracer: SyncTracer,
+def maybe_dump_sync_trace(doc: dict[str, Any],
                           directory: str | Path | None = None) -> Path | None:
-    """Dump ``tracer`` to the :data:`SYNC_TRACE_DIR_ENV` directory (or
-    ``directory``) when the trace actually exercised concurrency —
-    at least two threads recorded — else return None."""
+    """Dump a trace document to the :data:`SYNC_TRACE_DIR_ENV` directory
+    (or ``directory``) as ``<name>.<pid>.<n>.synctrace.json`` when it
+    exercised concurrency — at least two threads recorded — else return
+    None."""
     global _dump_counter
     if directory is None:
         directory = os.environ.get(SYNC_TRACE_DIR_ENV)
     if not directory:
         return None
-    if tracer.thread_count() < 2:
+    if len(doc.get("threads", ())) < 2:
         return None
     with _dump_lock:
         _dump_counter += 1
         n = _dump_counter
-    stem = re.sub(r"[^\w.-]+", "_", tracer.name).strip("_") or "trace"
-    return save_sync_trace(tracer.to_doc(),
-                           Path(directory) / f"{stem}.{n}.synctrace.json")
+    stem = re.sub(r"[^\w.-]+", "_", str(doc.get("name", ""))).strip("_") \
+        or "trace"
+    return save_sync_trace(
+        doc, Path(directory) / f"{stem}.{os.getpid()}.{n}.synctrace.json")

@@ -15,9 +15,10 @@ from repro.kernels.gaussian import GaussianKernel
 def _sync_trace_recording(request):
     """Record a sync trace per test when ``MATROX_SYNC_TRACE_DIR`` is set.
 
-    Mirrors ``MATROX_TRACE_DIR`` for engine traces: the CI analyze job
-    sets the variable while running the service/store/net suites, then
-    replays every dumped trace through ``repro analyze --sync-traces``.
+    Process engines dump their protocol traces into the same directory
+    at close: the CI analyze job sets the variable while running the
+    engine and service/store/net suites, then replays every dumped trace
+    through ``repro analyze --sync-traces``.
     Locks built by the ``make_lock``/``make_rlock``/``make_condition``
     factories *during* the test are traced; ``# guarded-by:`` attributes
     of the thread-tier classes record every access. Traces touching
@@ -45,7 +46,7 @@ def _sync_trace_recording(request):
         uninstall_sync_tracer()
         for undo in undos:
             undo()
-        maybe_dump_sync_trace(tracer)
+        maybe_dump_sync_trace(tracer.to_doc())
 
 
 @pytest.fixture(scope="session")

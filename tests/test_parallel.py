@@ -239,6 +239,30 @@ class TestSharedTables:
         dealt = sum(len(P) for shard in shards for P, _i, _r in shard.far)
         assert dealt == sum(len(P) for P, _i, _r in tables.far)
 
+    def test_rejected_plan_builds_its_tables_once(self, points,
+                                                  monkeypatch):
+        """A plan whose batching was rejected still owns one set of
+        tables: two convenience calls (an engine each) build them once,
+        and order="batched" keeps the per-block fallback."""
+        from repro.codegen import emit
+
+        H = inspector(points, kernel="gaussian", structure="hss",
+                      leaf_size=32)
+        assert not H.evaluator.decision.batch
+        builds = []
+        real = emit.build_batched_tables
+        monkeypatch.setattr(emit, "build_batched_tables",
+                            lambda cds: builds.append(cds) or real(cds))
+        W = np.random.default_rng(12).random((H.dim, 4))
+        pol = ExecutionPolicy(backend="process", num_workers=0)
+        first = H.matmul(W, policy=pol)
+        assert H.matmul(W, policy=pol).tobytes() == first.tobytes()
+        assert len(builds) == 1
+        assert H.batched_evaluator is None
+        with ProcessEngine(H, num_workers=0) as eng:
+            assert eng._shards[0].near[0][0] is H.batched_tables.near[0][0]
+        assert len(builds) == 1
+
     def test_shard_pickle_rebinds_views(self, H):
         """Spawn pickles a worker's entries: every narrow-path slice must
         come back as a view of its unpickled panel (one copy, no extra

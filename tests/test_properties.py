@@ -32,18 +32,32 @@ def rand_points(seed: int, n: int, d: int) -> np.ndarray:
 
 def degenerate_points(kind: str, seed: int) -> np.ndarray:
     """Point sets off the well-spread path: repeated points, fewer points
-    than a leaf holds, one dimension, tight clusters far apart."""
+    than a leaf holds, one dimension, far more dimensions than points,
+    points on one line, float32 storage, a large offset, a tiny scale,
+    tight clusters far apart."""
     g = np.random.default_rng(seed)
     if kind == "coincident":
         return np.repeat(g.random((int(g.integers(2, 8)), 2)),
                          int(g.integers(10, 40)), axis=0)
     if kind == "below_leaf":
         return g.random((int(g.integers(2, 16)), 2))
+    if kind == "clustered":
+        centers = g.random((int(g.integers(2, 6)), 3)) * 10
+        return np.concatenate([c + 1e-3 * g.standard_normal((50, 3))
+                               for c in centers])
+    if kind == "wide":
+        return g.random((40, 200))
+    n = int(g.integers(40, 250))
     if kind == "d1":
-        return g.random((int(g.integers(40, 250)), 1))
-    centers = g.random((int(g.integers(2, 6)), 3)) * 10
-    return np.concatenate([c + 1e-3 * g.standard_normal((50, 3))
-                           for c in centers])
+        return g.random((n, 1))
+    if kind == "collinear":
+        return np.outer(g.random(n), g.standard_normal(3)) + g.random(3)
+    if kind == "float32":
+        return g.random((n, 2)).astype(np.float32)
+    if kind == "offset":
+        return g.random((n, 2)) + 1e9
+    assert kind == "tiny", kind
+    return g.random((n, 2)) * 1e-150
 
 
 class TestHTreeProperties:
@@ -157,7 +171,8 @@ class TestEvaluationProperties:
 
 class TestEngineProperties:
     @pytest.mark.parametrize("kind", ["uniform", "coincident", "below_leaf",
-                                      "d1", "clustered"])
+                                      "d1", "clustered", "wide", "collinear",
+                                      "float32", "offset", "tiny"])
     @given(seed=st.integers(0, 50), q=st.integers(1, 8))
     @settings(SLOW, max_examples=6)
     def test_engines_agree_on_degenerate_inputs(self, kind, seed, q):

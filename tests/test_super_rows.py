@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro import ProcessEngine, inspector, relative_error
-from repro.analysis import certify_trace
+from repro.analysis import certify_sync_trace
 from repro.codegen.emit import (
     _PAD_LIMIT,
     WIDE_Q_MIN,
@@ -194,7 +194,7 @@ class TestEngineAgreement:
         with ProcessEngine(H, num_workers=2) as eng:
             np.testing.assert_array_equal(eng.matmul(W),
                                           H.matmul(W, order="batched"))
-            assert certify_trace(eng.access_trace()) == []
+            assert certify_sync_trace(eng.access_trace()) == []
 
     def test_process_engine_keeps_super_rows_whole(self, H, panels):
         """Workers hold whole super-row panels of the serial engine's own

