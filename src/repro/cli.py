@@ -644,9 +644,6 @@ def cmd_info(args) -> int:
     H = load_hmatrix(args.hmatrix)
     for key, value in H.summary().items():
         print(f"{key:20s} {value}")
-    if args.source:
-        print("\n--- generated evaluation code ---")
-        print(H.evaluator.source)
     return 0
 
 
@@ -884,8 +881,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("info", help="summarise a stored HMatrix")
     p.add_argument("hmatrix")
-    p.add_argument("--source", action="store_true",
-                   help="print the generated evaluation code")
     p.set_defaults(fn=cmd_info)
 
     p = sub.add_parser("datasets", help="list Table 1 / emit a dataset")

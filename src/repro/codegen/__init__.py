@@ -5,8 +5,8 @@ HMatrix-matrix multiplication is lowered through *block lowering* (the
 reduction loops iterate over the blockset) and *coarsen lowering* (the
 CTree loops iterate over the coarsenset), gated by the block/coarsen
 thresholds, then low-level transforms (root-iteration peeling) are applied.
-The result is Python source text compiled to a callable specialized for one
-HMatrix structure.
+The result is a set of tables specialized for one HMatrix structure, run by
+plain loop functions (``repro.codegen.emit``).
 """
 
 from repro.codegen.ir import EvaluationIR, build_ir

@@ -1,27 +1,28 @@
-"""Emission of specialized evaluation code.
+"""Emission of specialized evaluation programs.
 
-``generate_evaluator`` lowers the IR to Python source text (the analogue of
-the paper's emitted C code), binds the structure sets to *views into the CDS
-buffers* as constant tables, and compiles the source with ``compile``/``exec``.
-The generated function is specialized for one HMatrix: which loops exist,
-whether they iterate over structure sets or raw interaction lists, and
-whether the root iteration is peeled are all baked into the source.
+MatRox emits C code fitted to one HMatrix. Here the fitting lives in the
+tables a program runs instead of in source text: each evaluator is four
+plain loop functions over one set of tables built per plan.
 
-The generated callable computes ``Y += K~ @ W`` in tree order and can run
-serially or over a thread pool (NumPy's BLAS releases the GIL inside GEMMs,
-so block/sub-tree tasks genuinely overlap).
+``generate_evaluator`` builds the per-block program's :class:`BlockTables`:
+the structure sets bound as *views into the CDS buffers*, shaped by the
+lowering decision (blocked or serial reduction loops, coarsen levels or
+the whole post-order for the tree loops, a peeled root iteration).
+:func:`near_loop`, :func:`up_loop`, :func:`coupling_loop` and
+:func:`down_loop` run them serially or over a thread pool (NumPy's BLAS
+releases the GIL inside GEMMs, so block/sub-tree tasks genuinely overlap).
 
-``generate_batched_evaluator`` needs no source: its program is four plain
-loop functions (:func:`near_pass`, :func:`up_pass`, :func:`far_pass`,
-:func:`down_pass`) over one :class:`BatchedTables` built per plan, the
-same functions a process worker runs over its share of the entries.
+``generate_batched_evaluator`` builds one :class:`BatchedTables`, run by
+:func:`near_pass`, :func:`up_pass`, :func:`far_pass` and
+:func:`down_pass`, the same functions a process worker runs over its share
+of the entries.
+
+Both programs compute ``Y += K~ @ W`` in tree order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Callable
-from functools import partial
 
 import numpy as np
 
@@ -48,21 +49,19 @@ def _run_parallel(pool, fn, items):
 class GeneratedEvaluator:
     """A specialized HMatrix-matrix multiplication.
 
-    The per-block evaluator runs compiled ``source``; the batched one
-    runs :func:`run_batched` over its ``tables`` and has no source.
-    ``q_chunk`` (when set) streams right-hand sides through the generated
-    code in column panels of at most that width, so the W/Y/T/S panels of
-    one pass stay cache-resident for arbitrarily wide Q (the batched
-    engine's multi-RHS path; see DESIGN.md section 3).
+    ``tables`` are the program: :class:`BlockTables` run by
+    :func:`run_blocks` (the per-block evaluator) or :class:`BatchedTables`
+    run by :func:`run_batched` (the batched one). ``q_chunk`` (when set)
+    streams right-hand sides through the program in column panels of at
+    most that width, so the W/Y/T/S panels of one pass stay cache-resident
+    for arbitrarily wide Q (the batched engine's multi-RHS path; see
+    DESIGN.md section 3).
     """
 
-    source: str
     decision: LoweringDecision
     cds: CDSMatrix
-    _fn: Callable = field(repr=False, default=None)
-    name: str = "hmatmul"
+    tables: BlockTables | BatchedTables = field(repr=False)
     q_chunk: int | None = None
-    tables: BatchedTables | None = field(default=None, repr=False)
 
     def __call__(self, W: np.ndarray, pool=None) -> np.ndarray:
         """Evaluate ``Y = K~ W`` (tree order). W: (N, Q) or (N,)."""
@@ -73,21 +72,23 @@ class GeneratedEvaluator:
         n = self.cds.dim
         if W.shape[0] != n:
             raise ValueError(f"W has {W.shape[0]} rows, HMatrix dim is {n}")
+        run = (run_batched if isinstance(self.tables, BatchedTables)
+               else run_blocks)
         Y = np.zeros_like(W)
         qc = self.q_chunk
         if qc and W.shape[1] > qc:
             for q0 in range(0, W.shape[1], qc):
                 Wc = np.ascontiguousarray(W[:, q0:q0 + qc])
                 Yc = np.zeros_like(Wc)
-                self._fn(Wc, Yc, pool)
+                run(self.tables, Wc, Yc, pool)
                 Y[:, q0:q0 + qc] = Yc
         else:
-            self._fn(W, Y, pool)
+            run(self.tables, W, Y, pool)
         return Y[:, 0] if squeeze else Y
 
 
 # --------------------------------------------------------------------------
-# Table construction: bind structure sets to CDS views.
+# The per-block program: structure sets bound to CDS views.
 # --------------------------------------------------------------------------
 
 def _near_tables(cds: CDSMatrix, blocked: bool):
@@ -132,8 +133,8 @@ def _coarsen_tables(cds: CDSMatrix, coarsenset: CoarsenSet, peel: bool):
     """Upward-pass tables: list of levels, each a list of sub-tree op tuples.
 
     With peeling, the last coarsen level is returned separately as a flat op
-    list executed as straight-line code (standing in for the paper's
-    parallel-BLAS peeled root iteration).
+    list run on the calling thread instead of as sub-tree tasks (standing
+    in for the paper's parallel-BLAS peeled root iteration).
     """
     levels = [
         [tuple(_node_op(cds, v) for v in st.nodes) for st in cl.subtrees]
@@ -155,116 +156,32 @@ def _serial_tree_tables(cds: CDSMatrix):
     return [[tuple(_node_op(cds, v) for v in order)]], ()
 
 
-# --------------------------------------------------------------------------
-# Source emission.
-# --------------------------------------------------------------------------
+@dataclass
+class BlockTables:
+    """The per-block program's tables, built once per plan.
 
-_PROLOGUE = '''\
-def {name}(W, Y, pool=None):
-    """Generated HMatrix-matrix multiplication (tree order).
-
-    Lowering: near={near_mode}, coupling={far_mode}, tree={tree_mode},
-    peeled_root={peel}.
+    ``near`` holds the near loop's tasks, each a tuple of ``(D, si, ei,
+    sj, ej)`` interactions, and ``far`` the coupling loop's, each a tuple
+    of ``(B, i, j)``: one task per block of the blockset when the loop is
+    blocked (``block_near``/``block_far``; blocks write disjoint outputs,
+    so they run in parallel), else one task holding every interaction in
+    order. ``up`` holds the upward pass's levels, each a list of sub-tree
+    op lists (:func:`_node_op`): the coarsenset's levels when the tree
+    loops are coarsened, else one level holding the whole post-order.
+    ``down`` is ``up`` reversed, levels and ops alike (parents before
+    children). ``up_peeled``/``down_peeled`` hold the peeled root
+    iteration's ops, empty unless the root is peeled.
     """
-    Q = W.shape[1]
-    T = [None] * NUM_NODES
-    S = [None] * NUM_NODES
-'''
 
-_NEAR_BLOCKED = '''
-    # Blocked loop over the near blockset: blocks write disjoint Y rows,
-    # so the loop over blocks is fully parallel (no reductions).
-    def _near_block(block):
-        for D, si, ei, sj, ej in block:
-            Y[si:ei] += D @ W[sj:ej]
-    _run_parallel(pool, _near_block, NEAR_TABLE)
-'''
-
-_NEAR_SERIAL = '''
-    # Serial reduction loop over near interactions.
-    for block in NEAR_TABLE:
-        for D, si, ei, sj, ej in block:
-            Y[si:ei] += D @ W[sj:ej]
-'''
-
-_UP_SUBTREE_FN = '''
-    def _up_subtree(ops):
-        for op, v, G, a, b, rlc in ops:
-            if op == OP_LEAF:
-                T[v] = G.T @ W[a:b]
-            else:
-                Tl = T[a]; Tr = T[b]
-                T[v] = G[:rlc].T @ Tl + G[rlc:].T @ Tr
-'''
-
-_UP_COARSENED = '''
-    # Coarsened loop over the CTree (upward): sequential over coarsen
-    # levels, parallel over load-balanced sub-trees inside each level.
-    for level in UP_LEVELS:
-        _run_parallel(pool, _up_subtree, level)
-'''
-
-_UP_PEELED = '''
-    # Peeled root iteration: the top coarsen level has little task
-    # parallelism, so its node GEMMs run as straight-line (parallel-BLAS)
-    # calls instead of sub-tree tasks.
-    _up_subtree(UP_PEELED)
-'''
-
-_COUPLING_BLOCKED = '''
-    # Blocked loop over the far blockset (B blocks): same-output far
-    # interactions share a block, so no reduction across blocks.
-    def _coupling_block(block):
-        for B, i, j in block:
-            contrib = B @ T[j]
-            if S[i] is None:
-                S[i] = contrib
-            else:
-                S[i] += contrib
-    _run_parallel(pool, _coupling_block, FAR_TABLE)
-'''
-
-_COUPLING_SERIAL = '''
-    # Serial reduction loop over far interactions.
-    for block in FAR_TABLE:
-        for B, i, j in block:
-            contrib = B @ T[j]
-            if S[i] is None:
-                S[i] = contrib
-            else:
-                S[i] += contrib
-'''
-
-_DOWN_SUBTREE_FN = '''
-    def _down_subtree(ops):
-        for op, v, G, a, b, rlc in ops:
-            sv = S[v]
-            if sv is None:
-                continue
-            if op == OP_LEAF:
-                Y[a:b] += G @ sv
-            else:
-                top = G[:rlc] @ sv
-                bot = G[rlc:] @ sv
-                S[a] = top if S[a] is None else S[a] + top
-                S[b] = bot if S[b] is None else S[b] + bot
-'''
-
-_DOWN_PEELED = '''
-    # Peeled root iteration of the downward pass (runs first: top of tree).
-    _down_subtree(DOWN_PEELED)
-'''
-
-_DOWN_COARSENED = '''
-    # Coarsened downward pass: coarsen levels in reverse, sub-trees parallel,
-    # node order inside each sub-tree reversed (parents before children).
-    for level in DOWN_LEVELS:
-        _run_parallel(pool, _down_subtree, level)
-'''
-
-_EPILOGUE = '''
-    return Y
-'''
+    num_nodes: int
+    near: list
+    far: list
+    up: list
+    down: list
+    up_peeled: tuple
+    down_peeled: tuple
+    block_near: bool
+    block_far: bool
 
 
 def generate_evaluator(
@@ -275,9 +192,8 @@ def generate_evaluator(
     far_block_threshold: int | None = None,
     coarsen_threshold: int = 4,
     low_level: bool = True,
-    name: str = "hmatmul",
 ) -> GeneratedEvaluator:
-    """Lower the IR and compile the specialized evaluator for ``cds``."""
+    """Lower the IR and build the per-block program's tables for ``cds``."""
     from repro.codegen.ir import build_ir
 
     if ir is None:
@@ -296,60 +212,25 @@ def generate_evaluator(
             low_level=low_level,
         )
 
-    near_table = _near_tables(cds, decision.block_near)
-    far_table = _far_tables(cds, decision.block_far)
     if decision.coarsen:
-        up_levels, up_peeled = _coarsen_tables(
+        up, up_peeled = _coarsen_tables(
             cds, cds.coarsenset, decision.peel_root
         )
     else:
-        up_levels, up_peeled = _serial_tree_tables(cds)
-
-    # Downward tables: reversed levels, reversed ops within each sub-tree.
-    down_levels = [
-        [tuple(reversed(st)) for st in level] for level in reversed(up_levels)
-    ]
-    down_peeled = tuple(reversed(up_peeled))
-
-    # ---- assemble source ---------------------------------------------------
-    parts = [
-        _PROLOGUE.format(
-            name=name,
-            near_mode="blocked" if decision.block_near else "serial",
-            far_mode="blocked" if decision.block_far else "serial",
-            tree_mode="coarsened" if decision.coarsen else "serial",
-            peel=decision.peel_root,
-        )
-    ]
-    parts.append(_NEAR_BLOCKED if decision.block_near else _NEAR_SERIAL)
-    parts.append(_UP_SUBTREE_FN)
-    parts.append(_UP_COARSENED)
-    if decision.peel_root and up_peeled:
-        parts.append(_UP_PEELED)
-    parts.append(_COUPLING_BLOCKED if decision.block_far else _COUPLING_SERIAL)
-    parts.append(_DOWN_SUBTREE_FN)
-    if decision.peel_root and down_peeled:
-        parts.append(_DOWN_PEELED)
-    parts.append(_DOWN_COARSENED)
-    parts.append(_EPILOGUE)
-    source = "".join(parts)
-
-    env = {
-        "NUM_NODES": cds.tree.num_nodes,
-        "NEAR_TABLE": near_table,
-        "FAR_TABLE": far_table,
-        "UP_LEVELS": up_levels,
-        "UP_PEELED": up_peeled,
-        "DOWN_LEVELS": down_levels,
-        "DOWN_PEELED": down_peeled,
-        "OP_LEAF": OP_LEAF,
-        "_run_parallel": _run_parallel,
-    }
-    code = compile(source, filename=f"<matrox-generated:{name}>", mode="exec")
-    exec(code, env)
-    return GeneratedEvaluator(
-        source=source, decision=decision, cds=cds, _fn=env[name], name=name
+        up, up_peeled = _serial_tree_tables(cds)
+    tables = BlockTables(
+        num_nodes=cds.tree.num_nodes,
+        near=_near_tables(cds, decision.block_near),
+        far=_far_tables(cds, decision.block_far),
+        up=up,
+        down=[[tuple(reversed(st)) for st in level]
+              for level in reversed(up)],
+        up_peeled=up_peeled,
+        down_peeled=tuple(reversed(up_peeled)),
+        block_near=decision.block_near,
+        block_far=decision.block_far,
     )
+    return GeneratedEvaluator(decision=decision, cds=cds, tables=tables)
 
 
 # --------------------------------------------------------------------------
@@ -684,6 +565,82 @@ def _bind_tables(rank_rows, near, levels, far) -> BatchedTables:
         far=far)
 
 
+def near_loop(blocks, W, Y, pool=None) -> None:
+    """Per-block near loop: ``Y[si:ei] += D @ W[sj:ej]`` per interaction.
+    Blocks write disjoint Y rows, so with a pool they run in parallel (no
+    reductions); a serial loop passes no pool."""
+    def block(entries):
+        for D, si, ei, sj, ej in entries:
+            Y[si:ei] += D @ W[sj:ej]
+    _run_parallel(pool, block, blocks)
+
+
+def up_loop(levels, peeled, W, T, pool=None) -> None:
+    """Per-block upward pass: levels in order, the sub-trees of a level in
+    parallel, then the peeled root iteration's ops on the calling thread
+    (the top level has little task parallelism, so its GEMMs run as one
+    op list instead of sub-tree tasks)."""
+    def subtree(ops):
+        for op, v, G, a, b, rlc in ops:
+            if op == OP_LEAF:
+                T[v] = G.T @ W[a:b]
+            else:
+                T[v] = G[:rlc].T @ T[a] + G[rlc:].T @ T[b]
+    for level in levels:
+        _run_parallel(pool, subtree, level)
+    subtree(peeled)
+
+
+def coupling_loop(blocks, T, S, pool=None) -> None:
+    """Per-block coupling loop: ``S[i] += B @ T[j]`` per interaction.
+    Same-output interactions share a block, so with a pool the blocks run
+    in parallel (no reduction across blocks); a serial loop passes no
+    pool."""
+    def block(entries):
+        for B, i, j in entries:
+            contrib = B @ T[j]
+            if S[i] is None:
+                S[i] = contrib
+            else:
+                S[i] += contrib
+    _run_parallel(pool, block, blocks)
+
+
+def down_loop(levels, peeled, S, Y, pool=None) -> None:
+    """Per-block downward pass: the peeled root iteration first (top of
+    the tree), then the levels top-down with their sub-trees in
+    parallel; ``levels`` and ``peeled`` already list parents before
+    children."""
+    def subtree(ops):
+        for op, v, G, a, b, rlc in ops:
+            sv = S[v]
+            if sv is None:
+                continue
+            if op == OP_LEAF:
+                Y[a:b] += G @ sv
+            else:
+                top = G[:rlc] @ sv
+                bot = G[rlc:] @ sv
+                S[a] = top if S[a] is None else S[a] + top
+                S[b] = bot if S[b] is None else S[b] + bot
+    subtree(peeled)
+    for level in levels:
+        _run_parallel(pool, subtree, level)
+
+
+def run_blocks(tables: BlockTables, W, Y, pool=None):
+    """The per-block product ``Y += K~ @ W`` in tree order. The tree loops
+    use ``pool`` whenever one is given, each reduction loop only when it
+    is blocked."""
+    T = [None] * tables.num_nodes
+    S = [None] * tables.num_nodes
+    near_loop(tables.near, W, Y, pool if tables.block_near else None)
+    up_loop(tables.up, tables.up_peeled, W, T, pool)
+    coupling_loop(tables.far, T, S, pool if tables.block_far else None)
+    down_loop(tables.down, tables.down_peeled, S, Y, pool)
+    return Y
+
+
 def near_pass(panels, W, Y, buf) -> None:
     """Near loop: one row panel per super-row, ``Y += D @ W``.
 
@@ -775,7 +732,6 @@ def generate_batched_evaluator(
     ir: EvaluationIR | None = None,
     decision: LoweringDecision | None = None,
     q_chunk: int | None = 256,
-    name: str = "hmatmul_batched",
 ) -> GeneratedEvaluator:
     """Build the bucketed batched-GEMM evaluator for ``cds``.
 
@@ -799,9 +755,7 @@ def generate_batched_evaluator(
                 far_blockset=cds.far_blockset,
             )
         decision = decide_lowering(ir)
-    tables = build_batched_tables(cds)
     return GeneratedEvaluator(
-        source="", decision=lower_batched(ir, decision), cds=cds,
-        _fn=partial(run_batched, tables), name=name, q_chunk=q_chunk,
-        tables=tables,
+        decision=lower_batched(ir, decision), cds=cds,
+        tables=build_batched_tables(cds), q_chunk=q_chunk,
     )

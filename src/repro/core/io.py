@@ -9,7 +9,7 @@ them without re-inspecting. This module provides the same capability:
 * :func:`save_hmatrix` / :func:`load_hmatrix` — the full HMatrix. The flat
   CDS buffers and structure sets round-trip bit-exactly; the specialized
   evaluator is *regenerated* on load from the stored lowering decision
-  (compiling the code is cheap; the expensive inspection is what's stored).
+  (building its tables is cheap; the expensive inspection is what's stored).
 * :func:`save_inspection_p1` / :func:`load_inspection_p1` — the reusable
   phase-1 artifacts (tree, interactions, sampling plan, blocksets).
 
@@ -252,7 +252,7 @@ def _as_source(path):
 
 
 def load_hmatrix(path) -> HMatrix:
-    """Load an HMatrix saved by :func:`save_hmatrix`; recompiles the code.
+    """Load an HMatrix saved by :func:`save_hmatrix`; rebuilds the evaluator.
 
     ``path`` may also be an open binary file-like (the
     :class:`~repro.api.store.PlanStore` hands over bytes it already read

@@ -129,14 +129,6 @@ class TestInfoCommand:
         out = capsys.readouterr().out
         assert "mean_srank" in out and "N" in out
 
-    def test_info_with_source(self, points_file, tmp_path, capsys):
-        h = tmp_path / "h.npz"
-        main(["inspect", str(points_file), "-o", str(h),
-              "--leaf-size", "32", "--bandwidth", "0.5"])
-        rc = main(["info", str(h), "--source"])
-        assert rc == 0
-        assert "def hmatmul" in capsys.readouterr().out
-
 
 @pytest.fixture()
 def request_file(tmp_path, points_file):

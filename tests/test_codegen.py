@@ -21,6 +21,23 @@ def make_cds(points, kernel, structure="h2-geometric", **kw):
     return res, build_cds(res.factors, cs, nb, fb)
 
 
+#: (block threshold, coarsen threshold, low_level) of every lowering
+#: combination the per-block program can take.
+LOWERINGS = {
+    "fully_lowered": (None, 4, True),
+    "no_blocking": (10**9, 4, True),
+    "no_coarsening": (None, 10**9, True),
+    "fully_serial": (10**9, 10**9, False),
+    "no_peeling": (None, 4, False),
+}
+
+
+def lowered(cds, block_thr, coars_thr, low):
+    return generate_evaluator(cds, block_threshold=block_thr,
+                              far_block_threshold=block_thr,
+                              coarsen_threshold=coars_thr, low_level=low)
+
+
 @pytest.fixture(scope="module")
 def cds_2d(points_2d, gaussian_kernel):
     return make_cds(points_2d, gaussian_kernel)
@@ -128,29 +145,22 @@ class TestGeneratedCode:
         rng = np.random.default_rng(2)
         W = rng.random((res.tree.num_points, 4))
         ref = evaluate_reference(res.factors, W)
-        for block_thr, coars_thr, low in [
-            (None, 4, True),       # fully lowered
-            (10**9, 4, True),      # no blocking
-            (None, 10**9, True),   # no coarsening
-            (10**9, 10**9, False), # fully serial
-            (None, 4, False),      # no peeling
-        ]:
-            ev = generate_evaluator(cds, block_threshold=block_thr,
-                                    far_block_threshold=block_thr,
-                                    coarsen_threshold=coars_thr,
-                                    low_level=low)
-            np.testing.assert_allclose(ev(W), ref, atol=1e-10,
-                                       err_msg=str((block_thr, coars_thr, low)))
+        for name, lowering in LOWERINGS.items():
+            ev = lowered(cds, *lowering)
+            np.testing.assert_allclose(ev(W), ref, atol=1e-10, err_msg=name)
 
-    def test_parallel_pool_agrees_with_serial(self, cds_2d):
+    @pytest.mark.parametrize("lowering", LOWERINGS.values(), ids=LOWERINGS)
+    def test_parallel_pool_agrees_with_serial(self, cds_2d, lowering):
+        """Blocks and coarsen sub-trees write disjoint rows, so running
+        them over a pool changes no byte of the product."""
         res, cds = cds_2d
-        ev = generate_evaluator(cds)
+        ev = lowered(cds, *lowering)
         rng = np.random.default_rng(3)
         W = rng.random((res.tree.num_points, 4))
         serial = ev(W)
         with ThreadPoolExecutor(max_workers=4) as pool:
             parallel = ev(W, pool=pool)
-        np.testing.assert_allclose(parallel, serial, atol=1e-12)
+        assert parallel.tobytes() == serial.tobytes()
 
     def test_matvec_1d_input(self, cds_2d):
         res, cds = cds_2d
@@ -169,25 +179,36 @@ class TestGeneratedCode:
             ev(np.zeros((3, 2)))
 
     def test_source_reflects_decision(self, cds_2d):
+        """The tables carry the decision: a blocked near loop holds one
+        task per near block, a coarsened upward pass the coarsenset's
+        levels minus the peeled one."""
         _res, cds = cds_2d
         ev = generate_evaluator(cds)
-        assert "near=blocked" in ev.source
-        assert "tree=coarsened" in ev.source
-        assert "def hmatmul" in ev.source
+        assert ev.decision.block_near and ev.decision.coarsen
+        assert ev.tables.block_near
+        assert len(ev.tables.near) == len(cds.near_blockset.blocks)
+        assert len(ev.tables.up) == (len(cds.coarsenset.levels)
+                                     - ev.decision.peel_root)
+        assert len(ev.tables.down) == len(ev.tables.up)
 
     def test_source_serial_variant(self, cds_2d):
+        """Serial reduction loops hold one task each; an un-coarsened
+        upward pass is one level holding one sub-tree."""
         _res, cds = cds_2d
-        ev = generate_evaluator(cds, block_threshold=10**9,
-                                far_block_threshold=10**9,
-                                coarsen_threshold=10**9)
-        assert "near=serial" in ev.source
-        assert "tree=serial" in ev.source
+        ev = lowered(cds, *LOWERINGS["fully_serial"])
+        assert not (ev.tables.block_near or ev.tables.block_far)
+        assert len(ev.tables.near) == 1 and len(ev.tables.far) == 1
+        assert len(ev.tables.up) == 1 and len(ev.tables.up[0]) == 1
 
     def test_peeled_source_marker(self, cds_2d):
+        """The peeled root iteration's ops exist exactly when the root is
+        peeled, and the downward pass runs them in reverse."""
         _res, cds = cds_2d
-        ev = generate_evaluator(cds, low_level=True)
-        if ev.decision.peel_root:
-            assert "Peeled root iteration" in ev.source
+        for low in (True, False):
+            ev = generate_evaluator(cds, low_level=low)
+            assert ev.decision.peel_root == low
+            assert bool(ev.tables.up_peeled) == ev.decision.peel_root
+            assert ev.tables.down_peeled == ev.tables.up_peeled[::-1]
 
     def test_repeated_calls_consistent(self, cds_2d):
         res, cds = cds_2d

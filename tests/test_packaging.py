@@ -1,10 +1,13 @@
 """Every third-party module the package imports at module level is a
 declared runtime dependency (``setup.py``) and installed by CI
 (``requirements-dev.txt``). Optional modules are imported inside the
-function that needs them."""
+function that needs them. The benchmark's tracer finds every package
+name it wraps."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -73,3 +76,15 @@ def test_ci_installs_every_module_level_import():
 def test_numba_stays_optional():
     assert "numba" not in third_party_imports()
     assert "numba" not in install_requires()
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    """``perfbench/tracing.py`` wraps package functions and methods by
+    name; a renamed one must fail here, not only in a traced benchmark
+    run."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import tracing; tracing.install(tracing.Recorder('check'))"],
+        cwd=ROOT / "perfbench", capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from repro import ProcessEngine, inspector
 from repro.analysis import build_blockset, build_coarsenset
-from repro.codegen.emit import generate_batched_evaluator
+from repro.codegen.emit import (generate_batched_evaluator,
+                                generate_evaluator)
 from repro.compression import compress
 from repro.core.evaluation import evaluate_reference
 from repro.htree import build_htree
@@ -152,21 +153,33 @@ class TestEvaluationProperties:
         err = np.linalg.norm(Y - K @ W) / np.linalg.norm(K @ W)
         assert err < 1e-3
 
-    @given(seed=st.integers(0, 30))
+    @given(seed=st.integers(0, 30), block_near=st.booleans(),
+           block_far=st.booleans(), coarsened=st.booleans(),
+           peeled=st.booleans())
     @SLOW
-    def test_generated_code_always_matches_reference(self, seed):
-        """Codegen correctness is input-independent."""
+    def test_generated_code_always_matches_reference(
+            self, seed, block_near, block_far, coarsened, peeled):
+        """Codegen correctness is input-independent, for every lowering
+        combination the per-block tables can take."""
         from repro.core.inspector import Inspector
 
         pts = rand_points(seed, 180, 2)
         insp = Inspector(structure="h2-geometric", tau=0.65, bacc=1e-5,
                          leaf_size=16, p=3, seed=0)
         H = insp.run(pts, GaussianKernel(0.5))
+        on = {True: 0, False: 10**9}  # a threshold forcing each lowering
+        ev = generate_evaluator(
+            H.cds, block_threshold=on[block_near],
+            far_block_threshold=on[block_far],
+            coarsen_threshold=on[coarsened], low_level=peeled)
+        d = ev.decision
+        assert (d.block_near, d.block_far, d.coarsen, d.peel_root) == (
+            block_near, block_far, coarsened, peeled and coarsened)
         rng = np.random.default_rng(seed)
         W = rng.random((180, 2))
         Wt = W[H.tree.perm]
         np.testing.assert_allclose(
-            H.evaluator(Wt), evaluate_reference(H.factors, Wt), atol=1e-9)
+            ev(Wt), evaluate_reference(H.factors, Wt), atol=1e-9)
 
 
 class TestEngineProperties:
