@@ -2,13 +2,16 @@
 
 MatRox emits C code fitted to one HMatrix. Here the fitting lives in the
 tables a program runs instead of in source text: each evaluator is four
-plain loop functions over one set of tables built per plan.
+plain loop functions over one set of tables built at most once per plan.
 
-``generate_evaluator`` builds the per-block program's :class:`BlockTables`:
-the structure sets bound as *views into the CDS buffers*, shaped by the
-lowering decision (blocked or serial reduction loops, coarsen levels or
-the whole post-order for the tree loops, a peeled root iteration).
-:func:`near_loop`, :func:`up_loop`, :func:`coupling_loop` and
+``generate_evaluator`` returns the per-block program with its lowering
+decision; its :class:`BlockTables` are built on the first run
+(:func:`build_block_tables`, held by a :class:`Program` that every copy
+of the evaluator shares), so a plan served only by the batched program
+never builds them. They bind the structure sets as *views into the CDS
+buffers*, shaped by the decision (blocked or serial reduction loops,
+coarsen levels or the whole post-order for the tree loops, a peeled root
+iteration). :func:`near_loop`, :func:`up_loop`, :func:`coupling_loop` and
 :func:`down_loop` run them serially or over a thread pool (NumPy's BLAS
 releases the GIL inside GEMMs, so block/sub-tree tasks genuinely overlap).
 
@@ -23,6 +26,7 @@ Both programs compute ``Y += K~ @ W`` in tree order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -45,13 +49,36 @@ def _run_parallel(pool, fn, items):
         list(pool.map(fn, items))
 
 
+class Program:
+    """One plan's tables, built by ``build()`` on first access and kept.
+
+    Every copy of an evaluator holds the same ``Program`` (a
+    ``dataclasses.replace`` for a ``q_chunk`` override among them), so
+    the tables are built once per plan. There is no lock: two first runs
+    racing may both build, and the later one's tables are kept.
+    """
+
+    def __init__(self, build) -> None:
+        self._build = build
+        self._tables: BlockTables | BatchedTables | None = None
+
+    @property
+    def tables(self) -> BlockTables | BatchedTables:
+        tables = self._tables
+        if tables is None:
+            tables = self._tables = self._build()
+        return tables
+
+
 @dataclass
 class GeneratedEvaluator:
     """A specialized HMatrix-matrix multiplication.
 
     ``tables`` are the program: :class:`BlockTables` run by
     :func:`run_blocks` (the per-block evaluator) or :class:`BatchedTables`
-    run by :func:`run_batched` (the batched one). ``q_chunk`` (when set)
+    run by :func:`run_batched` (the batched one), held by ``program`` and
+    built on first access (the per-block ones on the first run; the
+    batched ones when the evaluator is generated). ``q_chunk`` (when set)
     streams right-hand sides through the program in column panels of at
     most that width, so the W/Y/T/S panels of one pass stay cache-resident
     for arbitrarily wide Q (the batched engine's multi-RHS path; see
@@ -60,8 +87,12 @@ class GeneratedEvaluator:
 
     decision: LoweringDecision
     cds: CDSMatrix
-    tables: BlockTables | BatchedTables = field(repr=False)
+    program: Program = field(repr=False)
     q_chunk: int | None = None
+
+    @property
+    def tables(self) -> BlockTables | BatchedTables:
+        return self.program.tables
 
     def __call__(self, W: np.ndarray, pool=None) -> np.ndarray:
         """Evaluate ``Y = K~ W`` (tree order). W: (N, Q) or (N,)."""
@@ -72,7 +103,8 @@ class GeneratedEvaluator:
         n = self.cds.dim
         if W.shape[0] != n:
             raise ValueError(f"W has {W.shape[0]} rows, HMatrix dim is {n}")
-        run = (run_batched if isinstance(self.tables, BatchedTables)
+        tables = self.tables
+        run = (run_batched if isinstance(tables, BatchedTables)
                else run_blocks)
         Y = np.zeros_like(W)
         qc = self.q_chunk
@@ -80,10 +112,10 @@ class GeneratedEvaluator:
             for q0 in range(0, W.shape[1], qc):
                 Wc = np.ascontiguousarray(W[:, q0:q0 + qc])
                 Yc = np.zeros_like(Wc)
-                run(self.tables, Wc, Yc, pool)
+                run(tables, Wc, Yc, pool)
                 Y[:, q0:q0 + qc] = Yc
         else:
-            run(self.tables, W, Y, pool)
+            run(tables, W, Y, pool)
         return Y[:, 0] if squeeze else Y
 
 
@@ -158,7 +190,8 @@ def _serial_tree_tables(cds: CDSMatrix):
 
 @dataclass
 class BlockTables:
-    """The per-block program's tables, built once per plan.
+    """The per-block program's tables, built on its first run, once per
+    plan (:func:`build_block_tables`).
 
     ``near`` holds the near loop's tasks, each a tuple of ``(D, si, ei,
     sj, ej)`` interactions, and ``far`` the coupling loop's, each a tuple
@@ -193,17 +226,23 @@ def generate_evaluator(
     coarsen_threshold: int = 4,
     low_level: bool = True,
 ) -> GeneratedEvaluator:
-    """Lower the IR and build the per-block program's tables for ``cds``."""
+    """Return the per-block program for ``cds`` under ``decision``.
+
+    Without a decision, the IR (built when not given) is lowered here.
+    The program's :class:`BlockTables` are built on its first run, or
+    first read of ``tables``, once per plan: a plan served by the
+    batched program never builds them.
+    """
     from repro.codegen.ir import build_ir
 
-    if ir is None:
-        ir = build_ir(
-            cds.factors,
-            coarsenset=cds.coarsenset,
-            near_blockset=cds.near_blockset,
-            far_blockset=cds.far_blockset,
-        )
     if decision is None:
+        if ir is None:
+            ir = build_ir(
+                cds.factors,
+                coarsenset=cds.coarsenset,
+                near_blockset=cds.near_blockset,
+                far_blockset=cds.far_blockset,
+            )
         decision = decide_lowering(
             ir,
             block_threshold=block_threshold,
@@ -212,13 +251,21 @@ def generate_evaluator(
             low_level=low_level,
         )
 
+    return GeneratedEvaluator(
+        decision=decision, cds=cds,
+        program=Program(partial(build_block_tables, cds, decision)))
+
+
+def build_block_tables(cds: CDSMatrix,
+                       decision: LoweringDecision) -> BlockTables:
+    """Build the per-block program's tables for ``cds`` under ``decision``."""
     if decision.coarsen:
         up, up_peeled = _coarsen_tables(
             cds, cds.coarsenset, decision.peel_root
         )
     else:
         up, up_peeled = _serial_tree_tables(cds)
-    tables = BlockTables(
+    return BlockTables(
         num_nodes=cds.tree.num_nodes,
         near=_near_tables(cds, decision.block_near),
         far=_far_tables(cds, decision.block_far),
@@ -230,7 +277,6 @@ def generate_evaluator(
         block_near=decision.block_near,
         block_far=decision.block_far,
     )
-    return GeneratedEvaluator(decision=decision, cds=cds, tables=tables)
 
 
 # --------------------------------------------------------------------------
@@ -686,16 +732,27 @@ def far_pass(stacks, T, S) -> None:
 
 
 def down_pass(levels, S, Y) -> None:
-    """Downward pass: levels top-down; leaf buckets scatter into Y rows,
-    interior buckets into the children's S rows (disjoint per level)."""
+    """Downward pass: levels top-down; leaf buckets add into Y rows,
+    interior buckets into the children's S rows (disjoint per level).
+
+    A leaf member's rows are one contiguous range, so at ``WIDE_Q_MIN``
+    columns and wider each member's product is added into its Y rows by
+    slice; narrower, one fancy-indexed scatter of the whole bucket is
+    faster. Both add the same values to the same rows.
+    """
     q = S.shape[1]
+    wide = q >= WIDE_Q_MIN
     for level in reversed(levels):
-        for G, _GT, _gather, flat, _own, own2d, to_y in level:
-            P = np.matmul(G, S[own2d]).reshape(-1, q)
-            if to_y:
-                Y[flat] += P
+        for G, _GT, gather, flat, _own, own2d, to_y in level:
+            P = np.matmul(G, S[own2d])
+            if to_y and wide:
+                m = G.shape[1]
+                for a, Pk in zip(gather[:, 0].tolist(), P, strict=True):
+                    Y[a:a + m] += Pk
+            elif to_y:
+                Y[flat] += P.reshape(-1, q)
             else:
-                S[flat] += P
+                S[flat] += P.reshape(-1, q)
 
 
 def run_batched(tables: BatchedTables, W, Y, pool=None):
@@ -755,7 +812,8 @@ def generate_batched_evaluator(
                 far_blockset=cds.far_blockset,
             )
         decision = decide_lowering(ir)
+    tables = build_batched_tables(cds)
     return GeneratedEvaluator(
         decision=lower_batched(ir, decision), cds=cds,
-        tables=build_batched_tables(cds), q_chunk=q_chunk,
+        program=Program(lambda: tables), q_chunk=q_chunk,
     )

@@ -5,7 +5,8 @@ structure analysis and data-layout construction. Submatrices are stored in
 plain per-node / per-pair dicts here (near and coupling blocks as column
 slices of one kernel block per row node); the CDS layer (repro.storage.cds)
 repacks them into flat visit-order buffers and then re-points these dicts
-at views into those buffers, so each generator is held once.
+at views into those buffers, so each generator is held once. A loaded
+plan's dicts are views into the decoded buffers, which the CDS keeps.
 """
 
 from __future__ import annotations

@@ -7,9 +7,11 @@ information — so the executor (or a later ``inspector_p2`` run) can load
 them without re-inspecting. This module provides the same capability:
 
 * :func:`save_hmatrix` / :func:`load_hmatrix` — the full HMatrix. The flat
-  CDS buffers and structure sets round-trip bit-exactly; the specialized
-  evaluator is *regenerated* on load from the stored lowering decision
-  (building its tables is cheap; the expensive inspection is what's stored).
+  CDS buffers and structure sets round-trip bit-exactly, and the decoded
+  buffers are the loaded plan's CDS buffers (they are stored in pack
+  order, so nothing is copied again). The evaluator is rebuilt on load
+  from the stored lowering decision; the per-block program's tables wait
+  for its first run, and the batched ones for the first batched product.
 * :func:`save_inspection_p1` / :func:`load_inspection_p1` — the reusable
   phase-1 artifacts (tree, interactions, sampling plan, blocksets).
 
@@ -252,9 +254,12 @@ def _as_source(path):
 
 
 def load_hmatrix(path) -> HMatrix:
-    """Load an HMatrix saved by :func:`save_hmatrix`; rebuilds the evaluator.
+    """Load an HMatrix saved by :func:`save_hmatrix`.
 
-    ``path`` may also be an open binary file-like (the
+    The decoded CDS buffers become the plan's own, with the generators as
+    views into them, and the evaluator is rebuilt from the stored lowering
+    decision without building any program tables (they are built on first
+    use). ``path`` may also be an open binary file-like (the
     :class:`~repro.api.store.PlanStore` hands over bytes it already read
     for the integrity check). Fails closed: a corrupted, truncated, or
     version-incompatible file raises :class:`PlanStoreError`.
@@ -283,11 +288,13 @@ def _load_hmatrix(path) -> HMatrix:
         }
 
         # Rebuild the per-node / per-pair generator dicts as views into the
-        # loaded flat buffers; build_cds packs them into its own buffers and
-        # re-points the dicts there, which frees the loaded ones.
+        # decoded flat buffers. Stored in pack order, as save_hmatrix writes
+        # them, those buffers become the CDS buffers; build_cds packs any
+        # other layout into its own buffers and re-points the dicts there.
         basis_buf = data["basis_buf"]
         near_buf = data["near_buf"]
         far_buf = data["far_buf"]
+        basis_offset: dict[int, int] = {}
         for vstr, off in manifest["basis_offset"].items():
             v = int(vstr)
             rows, cols = manifest["basis_shape"][vstr]
@@ -296,24 +303,32 @@ def _load_hmatrix(path) -> HMatrix:
                 factors.leaf_basis[v] = gen
             else:
                 factors.transfer[v] = gen
+            basis_offset[v] = off
+        near_offset: dict[tuple[int, int], int] = {}
         for key, off in manifest["near_offset"].items():
             i, j = (int(x) for x in key.split(","))
             rows, cols = tree.node_size(i), tree.node_size(j)
             factors.near_blocks[(i, j)] = near_buf[
                 off: off + rows * cols].reshape(rows, cols)
+            near_offset[(i, j)] = off
+        far_offset: dict[tuple[int, int], int] = {}
         for key, off in manifest["far_offset"].items():
             i, j = (int(x) for x in key.split(","))
             rows = int(factors.sranks[i])
             cols = int(factors.sranks[j])
             factors.coupling[(i, j)] = far_buf[
                 off: off + rows * cols].reshape(rows, cols)
+            far_offset[(i, j)] = off
 
     near_bs = _blockset_from_manifest(manifest["near_blockset"])
     far_bs = _blockset_from_manifest(manifest["far_blockset"])
     coarsenset = _coarsenset_from_manifest(manifest["coarsenset"])
     decision = _decision_from_manifest(manifest["decision"])
 
-    cds = build_cds(factors, coarsenset, near_bs, far_bs)
+    cds = build_cds(factors, coarsenset, near_bs, far_bs,
+                    stored={"basis": (basis_buf, basis_offset),
+                            "near": (near_buf, near_offset),
+                            "far": (far_buf, far_offset)})
     evaluator = generate_evaluator(cds, decision=decision)
     return HMatrix(cds=cds, evaluator=evaluator,
                    metadata=dict(manifest.get("metadata", {})))

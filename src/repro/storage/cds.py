@@ -12,7 +12,9 @@ Offsets are derived from sranks/block sizes, so a generator is addressed as
 ``buf[offset[key] : offset[key] + rows*cols].reshape(rows, cols)`` — these
 reshapes are NumPy views into the flat buffer, never copies, preserving the
 format's locality in the executor. The buffers own the generators: after
-packing, the :class:`Factors` dicts hold these same views.
+packing, the :class:`Factors` dicts hold these same views. A loaded plan's
+buffers are already in this order, so its decoded buffers are kept as the
+CDS buffers instead of being packed into a second copy.
 
 On top of the flat buffers the CDS also exposes *basis shape buckets*:
 the V/E generators of one tree level grouped by role and ``(rows, cols)``
@@ -176,6 +178,7 @@ def build_cds(
     coarsenset: CoarsenSet,
     near_blockset: BlockSet,
     far_blockset: BlockSet,
+    stored: dict[str, tuple[np.ndarray, dict]] | None = None,
 ) -> CDSMatrix:
     """Pack the generators into CDS buffers following the structure sets.
 
@@ -186,6 +189,12 @@ def build_cds(
     the arrays those dicts held before, and the row blocks the near and
     coupling blocks were sliced from, are freed instead of living beside a
     second copy.
+
+    ``stored`` maps ``"basis"``, ``"near"`` and ``"far"`` to the
+    ``(buf, offsets)`` a loaded plan's generators are already views of
+    (``buf[offsets[key]:]``). A buffer whose offsets are the pack order's
+    becomes the CDS buffer as it is, with no copy: the generators already
+    tile it in visit order. Any other is packed as above.
     """
     cds = CDSMatrix(
         factors=factors,
@@ -209,18 +218,21 @@ def build_cds(
         (factors.leaf_basis if tree.is_leaf(v) else factors.transfer, v)
         for v in order + extras
     ]
-    cds.basis_buf, cds.basis_offset = _pack(basis)
+    stored = stored or {}
+    cds.basis_buf, cds.basis_offset = _pack(basis, stored.get("basis"))
     cds.basis_shape = {v: gens[v].shape for gens, v in basis}
 
     # --- near buffer in near-blockset order ---------------------------------
     near = factors.near_blocks
     cds.near_buf, cds.near_offset = _pack(
-        [(near, p) for p in _pair_order(near_blockset, near, "near")])
+        [(near, p) for p in _pair_order(near_blockset, near, "near")],
+        stored.get("near"))
 
     # --- far buffer in far-blockset order ------------------------------------
     far = factors.coupling
     cds.far_buf, cds.far_offset = _pack(
-        [(far, p) for p in _pair_order(far_blockset, far, "far")])
+        [(far, p) for p in _pair_order(far_blockset, far, "far")],
+        stored.get("far"))
     return cds
 
 
@@ -235,18 +247,32 @@ def _pair_order(blockset: BlockSet, blocks: dict, which: str) -> list:
     return order + sorted(p for p in blocks if p not in visited)
 
 
-def _pack(slots: list[tuple[dict, object]]) -> tuple[np.ndarray, dict]:
+def _pack(slots: list[tuple[dict, object]],
+          stored: tuple[np.ndarray, dict] | None = None,
+          ) -> tuple[np.ndarray, dict]:
     """Copy each generator ``gens[key]`` of ``slots``, in order, into one
     flat float64 buffer and re-point ``gens[key]`` at its view there.
-    Returns the buffer and the offset of each key."""
-    buf = np.empty(sum(gens[key].size for gens, key in slots))
+    Returns the buffer and the offset of each key.
+
+    ``stored`` is a ``(buf, offsets)`` whose views the generators already
+    are. When those offsets are the pack order's, as plain integers, and
+    ``buf`` is a flat float64 buffer of exactly their extent, it is
+    returned as it is and nothing is copied."""
     offsets = {}
     off = 0
     for gens, key in slots:
+        offsets[key] = off
+        off += gens[key].size
+    if stored is not None:
+        buf, stored_offsets = stored
+        if (buf.dtype == np.float64 and buf.shape == (off,)
+                and stored_offsets == offsets):
+            return buf, offsets
+    buf = np.empty(off)
+    for gens, key in slots:
         gen = gens[key]
-        view = buf[off : off + gen.size].reshape(gen.shape)
+        o = offsets[key]
+        view = buf[o : o + gen.size].reshape(gen.shape)
         view[...] = gen
         gens[key] = view
-        offsets[key] = off
-        off += gen.size
     return buf, offsets

@@ -1,14 +1,17 @@
 """Unit tests for IR construction, lowering decisions, and code emission."""
 
+import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.analysis import build_blockset, build_coarsenset
-from repro.codegen import build_ir, decide_lowering, generate_evaluator
+from repro.codegen import build_ir, decide_lowering, emit, generate_evaluator
 from repro.compression import compress
 from repro.core.evaluation import evaluate_reference
+from repro.core.io import load_hmatrix, save_hmatrix
 from repro.storage import build_cds
 
 
@@ -216,3 +219,78 @@ class TestGeneratedCode:
         rng = np.random.default_rng(5)
         W = rng.random((res.tree.num_points, 2))
         np.testing.assert_array_equal(ev(W), ev(W))
+
+
+@pytest.fixture
+def block_table_builds(monkeypatch):
+    """A list that grows by one entry per per-block table build."""
+    builds = []
+    build = emit.build_block_tables
+
+    def counting(cds, decision):
+        builds.append(cds)
+        return build(cds, decision)
+
+    monkeypatch.setattr(emit, "build_block_tables", counting)
+    return builds
+
+
+class TestBlockTablesOnFirstUse:
+    """The per-block program's tables are built on its first run (or
+    first read of ``tables``), once per plan; a plan served by the
+    batched program never builds them."""
+
+    def test_inspect_load_and_batched_products_build_none(
+            self, points_2d, gaussian_kernel, inspector_small, tmp_path,
+            block_table_builds):
+        H = inspector_small.run(points_2d, gaussian_kernel)
+        H2 = load_hmatrix(save_hmatrix(H, tmp_path / "hmat.npz"))
+        assert H2.evaluator.decision.batch
+        rng = np.random.default_rng(0)
+        for q in (1, 4, emit.WIDE_Q_MIN, 300):
+            H2.matmul(rng.random((H2.dim, q)))
+        assert block_table_builds == []
+
+    def test_original_order_builds_once_per_plan(self, hmatrix_2d, tmp_path,
+                                                  block_table_builds):
+        """The first call carries a ``q_chunk`` override, so it runs a
+        ``dataclasses.replace`` copy of the evaluator; the copy and the
+        plan's own evaluator share one build."""
+        H = load_hmatrix(save_hmatrix(hmatrix_2d, tmp_path / "hmat.npz"))
+        W = np.random.default_rng(1).random((H.dim, 6))
+        ref = hmatrix_2d.matmul(W, order="original")
+        for q_chunk in (2, None, None, 3):
+            Y = H.matmul(W, order="original", q_chunk=q_chunk)
+            np.testing.assert_allclose(Y, ref, rtol=1e-12, atol=0)
+        assert len(block_table_builds) == 1
+
+    def test_copies_share_the_tables(self, cds_2d, block_table_builds):
+        res, cds = cds_2d
+        ev = generate_evaluator(cds)
+        chunked = replace(ev, q_chunk=2)
+        W = np.random.default_rng(2).random((res.tree.num_points, 5))
+        np.testing.assert_allclose(chunked(W), ev(W), rtol=1e-12, atol=0)
+        assert chunked.tables is ev.tables
+        assert len(block_table_builds) == 1
+
+    def test_racing_first_runs_agree(self, cds_2d, block_table_builds):
+        """Threads racing into the first run may each build the tables
+        (there is no lock); every product is still the serial one, and
+        once one build is kept no later run builds again."""
+        res, cds = cds_2d
+        W = np.random.default_rng(3).random((res.tree.num_points, 3))
+        ref = generate_evaluator(cds)(W)
+        ev = generate_evaluator(cds)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(ev, W) for _ in range(8)]
+                products = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(Y.tobytes() == ref.tobytes() for Y in products)
+        built = len(block_table_builds)
+        assert 2 <= built <= 9
+        assert ev(W).tobytes() == ref.tobytes()
+        assert len(block_table_builds) == built

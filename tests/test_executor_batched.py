@@ -12,6 +12,7 @@ from repro.codegen import (
     generate_batched_evaluator,
     lower_batched,
 )
+from repro.codegen.emit import WIDE_Q_MIN, down_pass
 from repro.core.evaluation import evaluate_reference
 from repro.runtime.tasks import matrox_batched_phases, matrox_phases
 
@@ -203,6 +204,31 @@ class TestBatchedPhases:
         seq = mx.simulate(hmatrix_2d.factors, 64, HASWELL, p=4,
                           rung="cds-seq")
         assert bat.time_s < seq.time_s
+
+
+class TestDownPass:
+    @pytest.mark.parametrize("q", [WIDE_Q_MIN - 1, WIDE_Q_MIN, 512])
+    def test_leaf_adds_match_one_scatter_per_bucket(self, hmatrix_2d, q):
+        """At wide Q each leaf-bucket member adds its product into its Y
+        rows by slice; the bytes equal one fancy-indexed ``Y[flat] += P``
+        per bucket, the scatter narrower products keep."""
+        tables = hmatrix_2d.batched_tables
+        assert any(to_y and len(G) > 1 for level in tables.levels
+                   for G, *_rest, to_y in level)
+        rng = np.random.default_rng(q)
+        S = rng.standard_normal((tables.rank_rows, q))
+        Y = rng.standard_normal((hmatrix_2d.dim, q))
+        S_ref, Y_ref = S.copy(), Y.copy()
+        for level in reversed(tables.levels):
+            for G, _GT, _gather, flat, _own, own2d, to_y in level:
+                P = np.matmul(G, S_ref[own2d]).reshape(-1, q)
+                if to_y:
+                    Y_ref[flat] += P
+                else:
+                    S_ref[flat] += P
+        down_pass(tables.levels, S, Y)
+        assert Y.tobytes() == Y_ref.tobytes()
+        assert S.tobytes() == S_ref.tobytes()
 
 
 class TestExecutorLifecycle:

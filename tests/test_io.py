@@ -1,6 +1,8 @@
 """Round-trip tests for HMatrix and InspectionP1 persistence."""
 
+import json
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,29 @@ from repro.core.io import (
     save_hmatrix,
     save_inspection_p1,
 )
+
+PLANS = Path(__file__).parent / "fixtures" / "plans"
+
+
+@pytest.fixture
+def decoded_arrays(monkeypatch):
+    """The arrays ``np.load`` decodes from .npz members during the test,
+    by member name (the last one decoded under each name)."""
+    decoded = {}
+    getitem = np.lib.npyio.NpzFile.__getitem__
+
+    def spy(self, key):
+        decoded[key] = getitem(self, key)
+        return decoded[key]
+
+    monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", spy)
+    return decoded
+
+
+def _assert_keeps_decoded_buffers(H, decoded, names=("basis_buf", "near_buf",
+                                                     "far_buf")):
+    for name in names:
+        assert getattr(H.cds, name) is decoded[name], name
 
 
 class TestHMatrixRoundtrip:
@@ -75,6 +100,79 @@ class TestHMatrixRoundtrip:
             with zipfile.ZipFile(path) as zf:
                 assert {i.compress_type for i in zf.infolist()} == {
                     zipfile.ZIP_STORED}
+
+
+class TestLoadKeepsStoredBuffers:
+    """A stored plan's CDS buffers are laid out in pack order, so a load
+    keeps the decoded arrays as the CDS buffers instead of copying every
+    generator into new ones."""
+
+    def test_cds_buffers_are_the_decoded_arrays(
+            self, hmatrix_2d, tmp_path, decoded_arrays,
+            assert_generators_live_in_cds):
+        path = save_hmatrix(hmatrix_2d, tmp_path / "hmat.npz")
+        H2 = load_hmatrix(path)
+        _assert_keeps_decoded_buffers(H2, decoded_arrays)
+        assert_generators_live_in_cds(H2.factors, H2.cds)
+
+    def test_offsets_out_of_pack_order_are_packed(
+            self, hmatrix_2d, tmp_path, decoded_arrays,
+            assert_generators_live_in_cds):
+        """A payload whose near blocks are stored in reverse order still
+        loads, through the packing path, into the plan's own layout."""
+        path = save_hmatrix(hmatrix_2d, tmp_path / "hmat.npz")
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        manifest = json.loads(bytes(arrays["manifest"]).decode())
+        near_buf = arrays["near_buf"]
+        tree = hmatrix_2d.tree
+        blocks, offsets, off = [], {}, 0
+        for key, o in sorted(manifest["near_offset"].items(),
+                             key=lambda kv: -kv[1]):
+            i, j = (int(x) for x in key.split(","))
+            size = tree.node_size(i) * tree.node_size(j)
+            blocks.append(near_buf[o:o + size])
+            offsets[key] = off
+            off += size
+        assert offsets != manifest["near_offset"]
+        manifest["near_offset"] = offsets
+        arrays["near_buf"] = np.concatenate(blocks)
+        arrays["manifest"] = np.frombuffer(json.dumps(manifest).encode(),
+                                           dtype=np.uint8)
+        np.savez(tmp_path / "reordered.npz", **arrays)
+
+        H2 = load_hmatrix(tmp_path / "reordered.npz")
+        assert H2.cds.near_buf is not decoded_arrays["near_buf"]
+        assert H2.cds.near_buf.tobytes() == hmatrix_2d.cds.near_buf.tobytes()
+        _assert_keeps_decoded_buffers(H2, decoded_arrays,
+                                      ("basis_buf", "far_buf"))
+        assert_generators_live_in_cds(H2.factors, H2.cds)
+        W = np.random.default_rng(0).random((hmatrix_2d.dim, 5))
+        for order in ("batched", "original"):
+            assert (H2.matmul(W, order=order).tobytes()
+                    == hmatrix_2d.matmul(W, order=order).tobytes()), order
+
+
+class TestStoredPayloadGolden:
+    """``tests/fixtures/plans/hss256_v1.npz`` was written by an earlier
+    ``save_hmatrix`` (store format version 1): a 256-point ``random`` HSS
+    plan (seed 0, leaf 16, Gaussian bandwidth 5, bacc 1e-5, p=2) with 30
+    far and 16 near pairs. ``hss256_v1_product.npz`` holds a Q=3 ``W``
+    and the ``order="original"`` product that build returned. A change
+    that stops reading such payloads, or bumps the format, fails here."""
+
+    def test_reads_stored_payload_in_place(self, decoded_arrays,
+                                           assert_generators_live_in_cds):
+        H = load_hmatrix(PLANS / "hss256_v1.npz")
+        assert H.factors.htree.num_far() == 30
+        assert H.factors.htree.num_near() == 16
+        _assert_keeps_decoded_buffers(H, decoded_arrays)
+        assert_generators_live_in_cds(H.factors, H.cds)
+        with np.load(PLANS / "hss256_v1_product.npz") as ref:
+            W, Y = ref["W"], ref["Y"]
+        for order in ("original", "batched"):
+            err = np.abs(H.matmul(W, order=order) - Y).max()
+            assert err <= 1e-12 * np.abs(Y).max(), order
 
 
 class TestInspectionP1Roundtrip:
