@@ -10,10 +10,9 @@ or a solver down to :meth:`HMatrix.matmul`.
 
 There is exactly one documented default, :data:`DEFAULT_POLICY`:
 
-* ``order="batched"`` — the bucketed batched-GEMM engine, which falls back
-  bit-compatibly to the per-block code whenever the cost model rejected
-  batch lowering, so it is a strict superset of the old ``"original"``
-  default;
+* ``order="batched"`` — the bucketed batched-GEMM engine, on every plan;
+  it agrees with the old ``"original"`` default (the per-block code) to
+  rounding;
 * ``num_threads=None`` — serial (no thread pool);
 * ``q_chunk=None`` — the generated evaluator's own streaming panel width
   (:data:`DEFAULT_Q_CHUNK` columns), the cache-sized chunking the codegen
@@ -31,7 +30,9 @@ from dataclasses import dataclass, replace
 
 #: Streaming panel width used when a policy does not override ``q_chunk``:
 #: 256 float64 columns over a typical leaf keeps one pass's W/Y/T/S working
-#: set inside the last-level cache (see DESIGN.md section 3).
+#: set inside the last-level cache (see DESIGN.md section 3). The batched
+#: evaluator streams by it and the process engine sizes its scratch by it,
+#: so both engines split a wide product into the same passes.
 DEFAULT_Q_CHUNK = 256
 
 #: The evaluation orders an :class:`ExecutionPolicy` may request.
@@ -81,13 +82,11 @@ class ExecutionPolicy:
     ----------
     order:
         ``"batched"`` (default) evaluates through the bucketed batched-GEMM
-        engine, falling back to the per-block code when the cost model
-        rejected batch lowering; ``"original"`` forces the per-block
-        code; both treat W rows as being in the user's input point
-        order. ``"auto"`` resolves through the profile-guided autotuner
-        (:mod:`repro.tuning`) at evaluation time: a
-        :class:`~repro.tuning.TuningProfile` keyed by HMatrix
-        fingerprint x RHS-width bucket x host signature picks the
+        engine; ``"original"`` runs the per-block code; both treat W rows
+        as being in the user's input point order. ``"auto"`` resolves
+        through the profile-guided autotuner (:mod:`repro.tuning`) at
+        evaluation time: a :class:`~repro.tuning.TuningProfile` keyed by
+        HMatrix fingerprint x RHS-width bucket x host signature picks the
         concrete order/backend/thread/worker/q_chunk setting. Knobs set
         explicitly alongside ``order="auto"`` are *pinned*: the tuner
         only chooses among candidates that honor them.
@@ -98,9 +97,8 @@ class ExecutionPolicy:
         across a pool of worker processes, with W/Y/T/S shared via
         ``multiprocessing.shared_memory`` (see
         :mod:`repro.core.parallel` and DESIGN.md section 7); results are
-        bit-identical to the serial batched engine (< 1e-12 on matrices
-        where the cost model rejected batch lowering). The backend
-        applies to the batched order; ``order="original"`` names the
+        bit-identical to the serial batched engine. The backend applies
+        to the batched order; ``order="original"`` names the
         per-block code explicitly and always runs in-process.
     num_threads:
         Worker threads for the per-block code path. ``None`` or 1 runs

@@ -17,8 +17,10 @@ releases the GIL inside GEMMs, so block/sub-tree tasks genuinely overlap).
 
 ``generate_batched_evaluator`` builds one :class:`BatchedTables`, run by
 :func:`near_pass`, :func:`up_pass`, :func:`far_pass` and
-:func:`down_pass`, the same functions a process worker runs over its share
-of the entries.
+:func:`down_pass`: the program ``order="batched"`` runs on every plan,
+and the same functions a process worker runs over its share of the
+entries. Which form a pass takes for a group (one stacked GEMM, or one
+GEMM per member on row slices) is read from the tables and the width.
 
 Both programs compute ``Y += K~ @ W`` in tree order.
 """
@@ -31,6 +33,7 @@ from functools import partial
 import numpy as np
 
 from repro.analysis.structure_sets import CoarsenSet
+from repro.api.policy import DEFAULT_Q_CHUNK
 from repro.codegen.ir import EvaluationIR
 from repro.codegen.lowering import LoweringDecision, decide_lowering
 from repro.storage.cds import CDSMatrix
@@ -106,17 +109,26 @@ class GeneratedEvaluator:
         tables = self.tables
         run = (run_batched if isinstance(tables, BatchedTables)
                else run_blocks)
-        Y = np.zeros_like(W)
-        qc = self.q_chunk
-        if qc and W.shape[1] > qc:
-            for q0 in range(0, W.shape[1], qc):
-                Wc = np.ascontiguousarray(W[:, q0:q0 + qc])
-                Yc = np.zeros_like(Wc)
-                run(tables, Wc, Yc, pool)
-                Y[:, q0:q0 + qc] = Yc
-        else:
-            run(tables, W, Y, pool)
+        Y = run(tables, W, np.zeros_like(W), pool, self.q_chunk)
         return Y[:, 0] if squeeze else Y
+
+
+def _column_chunks(W, Y, q_chunk):
+    """``(W columns, Y columns)`` panels of at most ``q_chunk`` columns;
+    one panel when ``q_chunk`` is unset or W is no wider. A panel's W
+    columns are copied into one contiguous buffer, since a GEMM's rounding
+    can depend on its operands' strides; its Y columns are a view, since
+    the programs write Y only by elementwise adds."""
+    n, q = W.shape
+    if not q_chunk or q <= q_chunk:
+        yield W, Y
+        return
+    buf = np.empty(n * q_chunk)
+    for q0 in range(0, q, q_chunk):
+        w = min(q_chunk, q - q0)
+        Wc = buf[:n * w].reshape(n, w)
+        Wc[:] = W[:, q0:q0 + w]
+        yield Wc, Y[:, q0:q0 + w]
 
 
 # --------------------------------------------------------------------------
@@ -290,16 +302,19 @@ def build_block_tables(cds: CDSMatrix,
 # and run as same-shape stacks; near panels are *super-rows* of sibling
 # leaves (see ``_super_rows``). The tree loops lower to *stacked GEMMs*
 # over the CDS shape buckets, one ``np.matmul`` per (level, role, shape)
-# group. The tables are built once per plan (:class:`BatchedTables`) and
-# run by four loop functions, in the serial engine and, each over its
-# share of the entries, in every process worker.
+# group. A tree bucket or coupling stack whose members each read and
+# write one run of rows can also run member by member on row slices. The
+# tables are built once per plan (:class:`BatchedTables`) and run by four
+# loop functions, in the serial engine and, each over its share of the
+# entries, in every process worker.
 # --------------------------------------------------------------------------
 
 #: Right-hand sides at least this many columns wide run one GEMM per
 #: super-row panel; narrower ones run one GEMM per leaf-row slice of it.
 #: Below this width a whole-panel GEMM is big enough for BLAS to go
 #: multi-threaded without being big enough to gain from it (DESIGN.md
-#: section 3 has the measurement).
+#: section 3 has the measurement). From this width on, the tree and
+#: coupling groups run by member slices (see ``up_pass``).
 WIDE_Q_MIN = 32
 
 # A row panel may hold at most this many times the entries of the blocks
@@ -341,7 +356,7 @@ def _row_panel_tables(pairs, ranges, buf, offsets, groups=None):
     GEMMs of the narrow path. Panels whose runs almost tile their span
     are zero-padded over the holes, so the operand is a view of the
     source (``_PAD_LIMIT`` bounds the panel against the entries its
-    blocks carry).
+    blocks carry). A panel of one block is that block's view of ``buf``.
     """
     by_row: dict[int, list[int]] = {}
     for (i, j) in pairs:
@@ -370,10 +385,9 @@ def _row_panel_tables(pairs, ranges, buf, offsets, groups=None):
         padded = len(runs) > 1 and m * (hi - lo) <= _PAD_LIMIT * carried
         if len(group) == 1 and not padded:
             i = group[0]
-            panel = np.ascontiguousarray(np.hstack([
-                buf[offsets[(i, j)]:offsets[(i, j)] + m * size(j)]
-                .reshape(m, size(j)) for j in cols
-            ]))
+            blocks = [buf[offsets[(i, j)]:offsets[(i, j)] + m * size(j)]
+                      .reshape(m, size(j)) for j in cols]
+            panel = blocks[0] if len(blocks) == 1 else np.hstack(blocks)
         else:
             if padded:
                 runs = ((lo, hi),)
@@ -456,14 +470,34 @@ def _batched_near_tables(cds: CDSMatrix):
                              cds.near_offset, groups=_super_rows(cds))
 
 
-def _rank_offsets(cds: CDSMatrix) -> tuple[dict[int, int], int]:
-    """Row offsets of each basis node's skeleton block in the flat T/S panel."""
-    off: dict[int, int] = {}
-    total = 0
-    for v in cds.basis_nodes():
-        off[v] = total
-        total += cds.factors.srank(v)
-    return off, total
+def _rank_offsets(cds: CDSMatrix) -> tuple[np.ndarray, int]:
+    """Row offset of each basis node's skeleton block in the flat T/S
+    panels (indexed by node), and the panels' height.
+
+    The blocks go level by level, deepest first, and left to right inside
+    a level. Two siblings' blocks are then adjacent, so an interior
+    transfer reads its children's rows as one run.
+    """
+    t = cds.tree
+    sranks = cds.factors.sranks
+    nodes = np.flatnonzero(sranks[1:] > 0) + 1
+    nodes = nodes[np.lexsort((t.start[nodes], -t.level[nodes]))]
+    toff = np.zeros(t.num_nodes, dtype=np.intp)
+    toff[nodes] = np.cumsum(sranks[nodes]) - sranks[nodes]
+    return toff, int(sranks[nodes].sum())
+
+
+def _member_slices(stack, gather, own):
+    """``(stack[k], a, b, o, p)`` per member ``k`` of a group whose every
+    member reads one run ``[a, b)`` of source rows (``gather[k]``) and
+    writes one run ``[o, p)`` (``own[k]``). Such a group can run each
+    member as a plain 2-D GEMM on row slices: the call the stacked
+    ``np.matmul`` makes for that member, on a view instead of a gathered
+    copy, so the products keep their bits.
+    """
+    m, r = gather.shape[1], own.shape[1]
+    return tuple((Gk, a, a + m, o, o + r) for Gk, a, o in zip(
+        stack, gather[:, 0].tolist(), own[:, 0].tolist(), strict=True))
 
 
 def _tree_bucket(G, gather, own, from_w):
@@ -476,14 +510,19 @@ def _tree_bucket(G, gather, own, from_w):
     pass runs ``T[own] = (G^T @ src[gather]).reshape(-1, Q)`` through a
     transposed *view* of the stack (np.matmul lowers it to BLAS transpose
     flags, so the generators are stored once); the downward pass runs
-    the transpose, ``dst[gather] += (G @ S[own]).reshape(-1, Q)``.
-    Returns ``(G, G^T, gather, gather flat, own, own per member, from_w)``.
+    the transpose, ``dst[gather] += (G @ S[own]).reshape(-1, Q)``. Every
+    member's gather and own rows are one run each (a leaf's points; the
+    children's adjacent skeleton rows, :func:`_rank_offsets`), so both
+    passes can also run member by member on row slices
+    (:func:`_member_slices`). Returns ``(G, G^T, gather, gather flat,
+    own, own per member, member slices, from_w)``.
     """
-    return (G, G.transpose(0, 2, 1), gather, gather.ravel(), own,
-            own.reshape(len(G), -1), from_w)
+    own2d = own.reshape(len(G), -1)
+    return (G, G.transpose(0, 2, 1), gather, gather.ravel(), own, own2d,
+            _member_slices(G, gather, own2d), from_w)
 
 
-def _batched_tree_tables(cds: CDSMatrix, toff: dict[int, int]):
+def _batched_tree_tables(cds: CDSMatrix, toff: np.ndarray):
     """Tree-loop levels over the basis shape buckets, deepest level first
     (:func:`_tree_bucket`). The upward pass runs them in order, the
     downward pass in reverse. Interior transfers read the children's
@@ -491,31 +530,27 @@ def _batched_tree_tables(cds: CDSMatrix, toff: dict[int, int]):
     even when the lc/rc rank split differs between its members.
     """
     t = cds.tree
-    srank = cds.factors.srank
+    sranks = cds.factors.sranks
+    # The first source row of each node's gather: a leaf's first point,
+    # an interior node's left child's first skeleton row, which the right
+    # child's rows continue (:func:`_rank_offsets`).
+    first = t.start.astype(np.intp)
+    inner = np.flatnonzero((t.lchild >= 0) & (sranks > 0))
+    inner = inner[inner != 0]
+    lc, rc = t.lchild[inner], t.rchild[inner]
+    if (toff[rc] != toff[lc] + sranks[lc]).any():
+        raise ValueError("sibling skeleton rows are not adjacent")
+    first[inner] = toff[lc]
     levels = []
     for level in cds.basis_level_buckets():
         buckets = []
         for bucket in level:
-            leaf = bucket.kind == "leaf"
-            if leaf:
-                gather = np.stack([
-                    np.arange(t.start[v], t.stop[v]) for v in bucket.keys
-                ])
-            else:
-                gather = np.stack([
-                    np.concatenate([
-                        toff[int(t.lchild[v])]
-                        + np.arange(srank(int(t.lchild[v]))),
-                        toff[int(t.rchild[v])]
-                        + np.arange(srank(int(t.rchild[v]))),
-                    ])
-                    for v in bucket.keys
-                ])
-            own = np.concatenate([
-                toff[v] + np.arange(srank(v)) for v in bucket.keys
-            ])
+            keys = np.asarray(bucket.keys, dtype=np.intp)
+            rows, cols = bucket.shape
+            gather = first[keys][:, None] + np.arange(rows)
+            own = (toff[keys][:, None] + np.arange(cols)).ravel()
             buckets.append(_tree_bucket(bucket.gather(cds.basis_buf),
-                                        gather, own, leaf))
+                                        gather, own, bucket.kind == "leaf"))
         levels.append(tuple(buckets))
     return tuple(levels)
 
@@ -525,11 +560,11 @@ def _stacked_panels(panels):
 
     Every entry is ``(P, idx, rows)`` for the ``g`` panels of one shape,
     in order of each shape's first panel: ``P`` is their ``g×m×k``
-    stack, ``idx`` the ``g×k`` operand rows (each panel's gather runs,
-    expanded) and ``rows`` the ``g·m`` output rows, so
-    ``out[rows] += np.matmul(P, src[idx]).reshape(-1, Q)`` runs every
-    panel of the group in one call. NumPy runs a stack as one BLAS call
-    per member, the same call as the member's 2-D product, so the
+    stack (a view of a lone panel), ``idx`` the ``g×k`` operand rows
+    (each panel's gather runs, expanded) and ``rows`` the ``g·m`` output
+    rows, so ``out[rows] += np.matmul(P, src[idx]).reshape(-1, Q)`` runs
+    every panel of the group in one call. NumPy runs a stack as one BLAS
+    call per member, the same call as the member's 2-D product, so the
     products keep their bits. Output rows must not overlap across panels
     (a fancy-indexed ``+=`` would drop the repeats), and this is checked.
     """
@@ -538,7 +573,8 @@ def _stacked_panels(panels):
         by_shape.setdefault(panel.shape, []).append((panel, runs, si, ei))
     stacks = []
     for members in by_shape.values():
-        P = np.stack([panel for panel, _runs, _si, _ei in members])
+        P = (members[0][0][None] if len(members) == 1
+             else np.stack([panel for panel, _runs, _si, _ei in members]))
         idx = np.stack([
             np.concatenate([np.arange(a, b) for a, b in runs])
             for _panel, runs, _si, _ei in members
@@ -549,18 +585,44 @@ def _stacked_panels(panels):
         stacks.append((P, idx, rows))
     if stacks:
         written = np.concatenate([rows for _P, _idx, rows in stacks])
-        if np.unique(written).size != written.size:
+        seen = np.zeros(int(written.max()) + 1, dtype=bool)
+        seen[written] = True
+        if np.count_nonzero(seen) != written.size:
             raise ValueError("row panels write overlapping output rows")
     return tuple(stacks)
 
 
-def _batched_far_tables(cds: CDSMatrix, toff: dict[int, int]):
+def _coupling_stack(P, idx, rows):
+    """One coupling stack ``(P, idx, rows, member slices)``. A member's
+    output rows are its node's skeleton rows, one run; the stack has
+    member slices (:func:`_member_slices`) when every member's operand
+    rows ``idx`` are one run too, else ``()``."""
+    runs = not (idx[:, 1:] - idx[:, :-1] != 1).any()
+    return (P, idx, rows,
+            _member_slices(P, idx, rows.reshape(len(P), -1)) if runs else ())
+
+
+def _batched_far_tables(cds: CDSMatrix, toff: np.ndarray):
     """Coupling-loop stacks: one row panel per output node, grouped by
-    shape (:func:`_stacked_panels`)."""
-    srank = cds.factors.srank
-    ranges = {v: (o, o + srank(v)) for v, o in toff.items()}
-    return _stacked_panels(_row_panel_tables(
+    shape (:func:`_stacked_panels`), each ``(P, idx, rows, member
+    slices)`` (:func:`_coupling_stack`). A panel's columns and padding
+    are decided on the skeleton rows in post order, as before T/S went
+    level by level, and only the rows it gathers and writes are mapped
+    to ``toff``'s layout: the column order is its GEMM's order of sums.
+    """
+    sranks = cds.factors.sranks
+    nodes = np.asarray(cds.basis_nodes(), dtype=np.intp)
+    size = sranks[nodes]
+    post = np.cumsum(size) - size
+    remap = (np.repeat(toff[nodes] - post, size)
+             + np.arange(int(size.sum())))
+    ranges = dict(zip(nodes.tolist(), zip(post.tolist(),
+                                          (post + size).tolist(),
+                                          strict=True), strict=True))
+    stacks = _stacked_panels(_row_panel_tables(
         cds.far_visit_order(), ranges, cds.far_buf, cds.far_offset))
+    return tuple(_coupling_stack(P, remap[idx], remap[rows])
+                 for P, idx, rows in stacks)
 
 
 @dataclass
@@ -570,8 +632,9 @@ class BatchedTables:
     ``near`` holds the super-row panels ``(panel, runs, k, si, ei,
     slices)`` (:func:`_row_panel_tables`), ``levels`` the tree loops'
     basis buckets per level (:func:`_tree_bucket`) and ``far`` the
-    coupling stacks ``(P, idx, rows)`` (:func:`_stacked_panels`).
-    ``rank_rows`` is the height of the T/S skeleton panels. The serial
+    coupling stacks ``(P, idx, rows, member slices)``
+    (:func:`_coupling_stack`). ``rank_rows`` is the height of the T/S
+    skeleton panels (:func:`_rank_offsets`). The serial
     engine runs every entry (:func:`run_batched`); a process worker runs
     a ``BatchedTables`` holding its share of them (DESIGN.md section 7).
     """
@@ -588,17 +651,20 @@ class BatchedTables:
                          default=1)
 
     def __reduce__(self):
-        # Pickling copies each array it meets on its own, so a row slice
-        # or a transposed stack would come back as a separate copy in a
-        # new layout: ship the bases and bind the views again on load.
+        # Pickling copies each array it meets on its own, so a row slice,
+        # a member of a stack or a transposed stack would come back as a
+        # separate copy in a new layout: ship the bases and bind the views
+        # again on load.
         near = tuple(
             (panel, runs, si, ei, tuple((a, b) for _rows, a, b in slices))
             for panel, runs, _k, si, ei, slices in self.near)
         levels = tuple(
             tuple((G, gather, own, from_w)
-                  for G, _GT, gather, _flat, own, _own2d, from_w in level)
+                  for G, _GT, gather, _flat, own, _own2d, _members, from_w
+                  in level)
             for level in self.levels)
-        return (_bind_tables, (self.rank_rows, near, levels, self.far))
+        far = tuple((P, idx, rows) for P, idx, rows, _members in self.far)
+        return (_bind_tables, (self.rank_rows, near, levels, far))
 
 
 def _bind_tables(rank_rows, near, levels, far) -> BatchedTables:
@@ -608,7 +674,7 @@ def _bind_tables(rank_rows, near, levels, far) -> BatchedTables:
         near=tuple(_panel_entry(*e) for e in near),
         levels=tuple(tuple(_tree_bucket(*b) for b in level)
                      for level in levels),
-        far=far)
+        far=tuple(_coupling_stack(*e) for e in far))
 
 
 def near_loop(blocks, W, Y, pool=None) -> None:
@@ -674,16 +740,18 @@ def down_loop(levels, peeled, S, Y, pool=None) -> None:
         _run_parallel(pool, subtree, level)
 
 
-def run_blocks(tables: BlockTables, W, Y, pool=None):
-    """The per-block product ``Y += K~ @ W`` in tree order. The tree loops
+def run_blocks(tables: BlockTables, W, Y, pool=None, q_chunk=None):
+    """The per-block product ``Y += K~ @ W`` in tree order, in column
+    panels of at most ``q_chunk`` (:func:`_column_chunks`). The tree loops
     use ``pool`` whenever one is given, each reduction loop only when it
     is blocked."""
-    T = [None] * tables.num_nodes
-    S = [None] * tables.num_nodes
-    near_loop(tables.near, W, Y, pool if tables.block_near else None)
-    up_loop(tables.up, tables.up_peeled, W, T, pool)
-    coupling_loop(tables.far, T, S, pool if tables.block_far else None)
-    down_loop(tables.down, tables.down_peeled, S, Y, pool)
+    for Wc, Yc in _column_chunks(W, Y, q_chunk):
+        T = [None] * tables.num_nodes
+        S = [None] * tables.num_nodes
+        near_loop(tables.near, Wc, Yc, pool if tables.block_near else None)
+        up_loop(tables.up, tables.up_peeled, Wc, T, pool)
+        coupling_loop(tables.far, T, S, pool if tables.block_far else None)
+        down_loop(tables.down, tables.down_peeled, S, Yc, pool)
     return Y
 
 
@@ -713,63 +781,85 @@ def near_pass(panels, W, Y, buf) -> None:
                 Y[a:b] += rows @ opnd
 
 
+# The tree passes and the coupling pass run a group with member slices
+# (:func:`_member_slices`) one plain GEMM per member on row slices when
+# the product is at least ``WIDE_Q_MIN`` columns wide, or when the group
+# has one member: the gathered copies and fancy-indexed scatters of a
+# stacked GEMM then cost more than the Python calls they save. Narrower
+# products of larger groups run one stacked GEMM. Every member gets the
+# same BLAS call either way, so the bytes do not depend on the path.
+
 def up_pass(levels, W, T) -> None:
-    """Upward pass: levels bottom-up; inside a level every bucket is one
-    stacked GEMM writing disjoint skeleton rows of T."""
+    """Upward pass: levels bottom-up; every bucket writes disjoint
+    skeleton rows of T, by one stacked GEMM or by member slices."""
     q = W.shape[1]
+    wide = q >= WIDE_Q_MIN
     for level in levels:
-        for _G, GT, gather, _flat, own, _own2d, from_w in level:
+        for G, GT, gather, _flat, own, _own2d, members, from_w in level:
             src = W if from_w else T
-            T[own] = np.matmul(GT, src[gather]).reshape(-1, q)
+            if members and (wide or len(G) == 1):
+                for Gk, a, b, o, p in members:
+                    np.matmul(Gk.T, src[a:b], out=T[o:p])
+            else:
+                T[own] = np.matmul(GT, src[gather]).reshape(-1, q)
 
 
 def far_pass(stacks, T, S) -> None:
-    """Coupling loop: one stacked GEMM per panel shape (one output node
-    per panel, disjoint rows), reducing into the S panel."""
+    """Coupling loop: one stacked GEMM per panel shape, or its member
+    slices, storing into the S panel. Each S row has one writer here;
+    storing instead of adding into zeros changes only a zero's sign,
+    which never reaches Y (Y starts at +0.0 and is only added to)."""
     q = T.shape[1]
-    for P, idx, rows in stacks:
-        S[rows] += np.matmul(P, T[idx]).reshape(-1, q)
+    wide = q >= WIDE_Q_MIN
+    for P, idx, rows, members in stacks:
+        if members and (wide or len(P) == 1):
+            for Pk, a, b, o, p in members:
+                np.matmul(Pk, T[a:b], out=S[o:p])
+        else:
+            S[rows] = np.matmul(P, T[idx]).reshape(-1, q)
 
 
 def down_pass(levels, S, Y) -> None:
     """Downward pass: levels top-down; leaf buckets add into Y rows,
-    interior buckets into the children's S rows (disjoint per level).
-
-    A leaf member's rows are one contiguous range, so at ``WIDE_Q_MIN``
-    columns and wider each member's product is added into its Y rows by
-    slice; narrower, one fancy-indexed scatter of the whole bucket is
-    faster. Both add the same values to the same rows.
-    """
+    interior buckets into the children's S rows (disjoint per level), by
+    one stacked GEMM and a fancy-indexed scatter or by member slices.
+    Both add the same values to the same rows."""
     q = S.shape[1]
     wide = q >= WIDE_Q_MIN
     for level in reversed(levels):
-        for G, _GT, gather, flat, _own, own2d, to_y in level:
-            P = np.matmul(G, S[own2d])
-            if to_y and wide:
-                m = G.shape[1]
-                for a, Pk in zip(gather[:, 0].tolist(), P, strict=True):
-                    Y[a:a + m] += Pk
-            elif to_y:
-                Y[flat] += P.reshape(-1, q)
+        for G, _GT, _gather, flat, _own, own2d, members, to_y in level:
+            dst = Y if to_y else S
+            if members and (wide or len(G) == 1):
+                for Gk, a, b, o, p in members:
+                    dst[a:b] += Gk @ S[o:p]
             else:
-                S[flat] += P.reshape(-1, q)
+                dst[flat] += np.matmul(G, S[own2d]).reshape(-1, q)
 
 
-def run_batched(tables: BatchedTables, W, Y, pool=None):
-    """The batched product ``Y += K~ @ W`` in tree order, in one process.
+def run_batched(tables: BatchedTables, W, Y, pool=None, q_chunk=None):
+    """The batched product ``Y += K~ @ W`` in tree order, in one process,
+    in column panels of at most ``q_chunk`` (:func:`_column_chunks`).
 
-    ``pool`` is accepted for interface parity and ignored: the fat
-    kernels already saturate BLAS without task-level threading.
+    The T/S panels and the near gather buffer are allocated once per
+    call, for the widest panel, and every panel reuses them. ``pool`` is
+    accepted for interface parity and ignored: the fat kernels already
+    saturate BLAS without task-level threading.
     """
     q = W.shape[1]
     if q == 0:
         return Y
-    T = np.empty((tables.rank_rows, q))
-    S = np.zeros((tables.rank_rows, q))
-    near_pass(tables.near, W, Y, np.empty((tables.max_k, q)))
-    up_pass(tables.levels, W, T)
-    far_pass(tables.far, T, S)
-    down_pass(tables.levels, S, Y)
+    width = min(q, q_chunk or q)
+    t, s = np.empty(tables.rank_rows * width), np.empty(tables.rank_rows * width)
+    g = np.empty(tables.max_k * width)
+    for Wc, Yc in _column_chunks(W, Y, q_chunk):
+        w = Wc.shape[1]
+        T = t[:tables.rank_rows * w].reshape(-1, w)
+        S = s[:tables.rank_rows * w].reshape(-1, w)
+        S[:] = 0.0
+        near_pass(tables.near, Wc, Yc, g[:tables.max_k * w].reshape(-1, w))
+        up_pass(tables.levels, Wc, T)
+        far_pass(tables.far, T, S)
+        down_pass(tables.levels, S, Yc)
     return Y
 
 
@@ -786,34 +876,25 @@ def build_batched_tables(cds: CDSMatrix) -> BatchedTables:
 
 def generate_batched_evaluator(
     cds: CDSMatrix,
-    ir: EvaluationIR | None = None,
     decision: LoweringDecision | None = None,
-    q_chunk: int | None = 256,
+    q_chunk: int | None = DEFAULT_Q_CHUNK,
 ) -> GeneratedEvaluator:
     """Build the bucketed batched-GEMM evaluator for ``cds``.
 
-    The returned evaluator computes exactly what :func:`generate_evaluator`
-    computes, but runs :func:`run_batched` over the plan's
-    :class:`BatchedTables`. ``decision`` is the plan's lowering decision
-    (``H.evaluator.decision``), recorded with the batch lowering on top;
-    without one, the IR is built and decided with default thresholds.
+    The returned evaluator computes what :func:`generate_evaluator`
+    computes, to rounding, but runs :func:`run_batched` over the plan's
+    :class:`BatchedTables`, built here. ``decision`` is the plan's
+    lowering decision (``H.evaluator.decision``), carried as it is;
+    without one, the plan is decided with default thresholds.
     ``q_chunk`` bounds the panel width of one pass (``None`` disables
-    streaming and runs any Q in a single pass).
+    streaming and runs any Q in a single pass); its default is the width
+    the process engine sizes its scratch by, so both engines split a
+    wide product into the same passes.
     """
-    from repro.codegen.ir import build_ir
-    from repro.codegen.lowering import decide_lowering, lower_batched
-
     if decision is None:
-        if ir is None:
-            ir = build_ir(
-                cds.factors,
-                coarsenset=cds.coarsenset,
-                near_blockset=cds.near_blockset,
-                far_blockset=cds.far_blockset,
-            )
-        decision = decide_lowering(ir)
+        decision = generate_evaluator(cds).decision
     tables = build_batched_tables(cds)
     return GeneratedEvaluator(
-        decision=lower_batched(ir, decision), cds=cds,
+        decision=decision, cds=cds,
         program=Program(lambda: tables), q_chunk=q_chunk,
     )

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.analysis.structure_sets import BlockSet, CoarsenSet
 from repro.api.policy import ExecutionPolicy, resolve_policy
-from repro.codegen.emit import BatchedTables, GeneratedEvaluator
+from repro.codegen.emit import GeneratedEvaluator
 from repro.compression.factors import Factors
 from repro.storage.cds import CDSMatrix
 from repro.utils.validation import check_finite
@@ -64,31 +64,18 @@ class HMatrix:
         return self.cds.far_blockset
 
     # ------------------------------------------------------------- evaluation
-    def _batched_program(self) -> GeneratedEvaluator:
-        """The batched program over this plan's tables, built on first use
-        and cached — the inspector already paid for the structure analysis
-        and the lowering decision, so this is just table gathering."""
+    @property
+    def batched_evaluator(self) -> GeneratedEvaluator:
+        """The batched program: its :class:`~repro.codegen.emit.BatchedTables`,
+        built on first use and kept, run by ``order="batched"`` and dealt
+        out by the process engine. The inspector already paid for the
+        structure analysis and the lowering decision, so this is just
+        table gathering."""
         if self._batched is None:
             from repro.codegen.emit import generate_batched_evaluator
             self._batched = generate_batched_evaluator(
                 self.cds, decision=self.evaluator.decision)
         return self._batched
-
-    @property
-    def batched_tables(self) -> BatchedTables:
-        """The batched program's tables, built once per plan. The process
-        engine runs them whatever the lowering decision, so a plan whose
-        batching was rejected builds them too, once."""
-        return self._batched_program().tables
-
-    @property
-    def batched_evaluator(self) -> GeneratedEvaluator | None:
-        """The bucketed batched-GEMM evaluator over :attr:`batched_tables`,
-        or None when the cost model rejected batch lowering (low bucket
-        occupancy)."""
-        if not self.evaluator.decision.batch:
-            return None
-        return self._batched_program()
 
     def matmul(self, W: np.ndarray, pool=None, order: str | None = None,
                q_chunk: int | None = None,
@@ -98,15 +85,15 @@ class HMatrix:
         Knobs resolve through one :class:`~repro.api.policy.ExecutionPolicy`
         (explicit ``order``/``q_chunk`` win over ``policy``, which wins over
         :data:`~repro.api.policy.DEFAULT_POLICY`). ``order="batched"`` (the
-        shared default) executes through the bucketed batched-GEMM engine,
-        falling back to the per-block code (with ``pool``) when the cost
-        model rejected batch lowering; ``order="original"`` forces the
-        per-block code. W rows are in the user's input point order either
-        way, and must be finite (``ValueError`` otherwise). ``q_chunk``
-        overrides the selected evaluator's streaming panel width (the
-        single chunking layer — callers never chunk on top of it). When no
-        ``pool`` is given and the policy asks for threads, a short-lived
-        pool is created for this call.
+        shared default) executes through the bucketed batched-GEMM engine
+        (``pool`` is not used there); ``order="original"`` runs the
+        per-block code, over ``pool`` when one is given. W rows are in the
+        user's input point order either way, and must be finite
+        (``ValueError`` otherwise). ``q_chunk`` overrides the selected
+        evaluator's streaming panel width (the single chunking layer —
+        callers never chunk on top of it). When no ``pool`` is given and
+        the policy asks for threads, a short-lived pool is created for
+        this call.
         """
         pol = resolve_policy(policy, order=order, q_chunk=q_chunk)
         W = np.ascontiguousarray(W, dtype=np.float64)
@@ -144,12 +131,7 @@ class HMatrix:
         if order not in ("original", "batched"):
             raise ValueError(
                 f"order must be 'original' or 'batched', got {order!r}")
-        # Degradation: batched -> per-block code. Both give the same
-        # results, so a rejected batch lowering is a performance event
-        # (recorded in the lowering decision), never an error.
-        ev = self.evaluator
-        if order == "batched" and self.batched_evaluator is not None:
-            ev = self.batched_evaluator
+        ev = self.batched_evaluator if order == "batched" else self.evaluator
         if q_chunk is not None and ev.q_chunk != q_chunk:
             ev = replace(ev, q_chunk=q_chunk)
         perm = self.tree.perm
@@ -193,6 +175,8 @@ class HMatrix:
                 "block_far": self.evaluator.decision.block_far,
                 "coarsen": self.evaluator.decision.coarsen,
                 "peel_root": self.evaluator.decision.peel_root,
-                "batch": self.evaluator.decision.batch,
+                # Every plan runs the batched program; the key stays for
+                # readers of the summary.
+                "batch": True,
             },
         }

@@ -5,8 +5,8 @@ functions over one :class:`~repro.codegen.emit.BatchedTables`. This
 module deals the entries of those same tables across a persistent pool
 of **worker processes**:
 
-* the tables are the HMatrix's own (``H.batched_tables``, built once per
-  plan, whether or not the cost model accepted batching);
+* the tables are the HMatrix's own (``H.batched_evaluator.tables``,
+  built once per plan);
 * whole entries are dealt to workers with a deterministic LPT
   (longest-processing-time) packing over their sizes: a near super-row
   panel, a coupling-stack member (one output node) or a leaf-bucket
@@ -17,11 +17,8 @@ of **worker processes**:
   runs as three barrier phases (see :class:`ProcessEngine`). Every output
   row slice has exactly one writer, in the serial engine's GEMM
   granularity, so the "reduction" of per-shard partial products is a
-  disjoint scatter and the result is **bit-identical** to the serial
-  batched *lowering* — not merely within rounding. (On matrices where
-  the cost model rejected batching, serial ``order="batched"`` falls
-  back to the per-block code, and the process backend agrees with that
-  fallback only to rounding, < 1e-12 relative.)
+  disjoint scatter and the result is **bit-identical** to serial
+  ``order="batched"`` — not merely within rounding.
 
 The pool is built once per (HMatrix, worker count) and reused across
 calls/chunks — the process analogue of the inspector-executor contract's
@@ -52,6 +49,7 @@ import numpy as np
 from repro.api.policy import DEFAULT_Q_CHUNK, effective_cpu_count
 from repro.codegen.emit import (
     BatchedTables,
+    _coupling_stack,
     _tree_bucket,
     down_pass,
     far_pass,
@@ -137,11 +135,12 @@ def shard_by_weight(weights: list[float], num_shards: int) -> list[list[int]]:
 # --------------------------------------------------------------------------
 
 def _stack_members(stack, sel):
-    """Members ``sel`` of a coupling stack ``(P, idx, rows)``."""
-    P, idx, rows = stack
+    """Members ``sel`` of a coupling stack (:func:`_coupling_stack`)."""
+    P, idx, rows, _members = stack
     if len(sel) == len(P):
         return stack
-    return (P[sel], idx[sel], rows.reshape(len(P), -1)[sel].ravel())
+    return _coupling_stack(P[sel], idx[sel],
+                           rows.reshape(len(P), -1)[sel].ravel())
 
 
 def _bucket_members(bucket, sel):
@@ -149,7 +148,7 @@ def _bucket_members(bucket, sel):
     untransposed stack and :func:`~repro.codegen.emit._tree_bucket`
     takes the transposed view afterwards, so every member GEMM keeps the
     operand layout of the serial engine's call."""
-    G, _GT, gather, _flat, _own, own2d, from_w = bucket
+    G, _GT, gather, _flat, _own, own2d, _members, from_w = bucket
     if len(sel) == len(G):
         return bucket
     return _tree_bucket(G[sel], gather[sel], own2d[sel].ravel(), from_w)
@@ -236,14 +235,14 @@ def _worker_accesses(tables: BatchedTables) -> dict[int, list[tuple]]:
         add(_PHASE_NEAR_AND_LEAF_UP, "write", "Y", [(si, ei)])
         add(_PHASE_NEAR_AND_LEAF_UP, "read", "W", runs)
     for level in tables.levels:
-        for _G, _GT, gather, _flat, own, _own2d, from_w in level:
+        for _G, _GT, gather, _flat, own, _own2d, _members, from_w in level:
             add(_PHASE_NEAR_AND_LEAF_UP, "read", "W" if from_w else "T",
                 _row_runs(gather))
             add(_PHASE_NEAR_AND_LEAF_UP, "write", "T", _row_runs(own))
             add(_PHASE_LEAF_DOWN, "read", "S", _row_runs(own))
             add(_PHASE_LEAF_DOWN, "write", "Y" if from_w else "S",
                 _row_runs(gather))
-    for _P, idx, rows in tables.far:
+    for _P, idx, rows, _members in tables.far:
         add(_PHASE_FAR, "write", "S", _row_runs(rows))
         add(_PHASE_FAR, "read", "T", _row_runs(idx))
     return {phase: sorted(a) for phase, a in acc.items()}
@@ -378,9 +377,7 @@ class ProcessEngine:
 
     Each Y/T/S row slice is written by exactly one worker with the same
     GEMMs the serial batched engine issues, so results are
-    bit-identical to ``order="batched"`` on one process whenever the cost
-    model accepted batch lowering (when it rejected it, the serial path
-    falls back to per-block code and agreement is < 1e-12, not bitwise).
+    bit-identical to ``order="batched"`` on one process.
 
     ``num_workers=0`` keeps the exact sharded code path but runs every
     shard inline (no pool, no shared memory) — the degenerate case tests
@@ -414,8 +411,8 @@ class ProcessEngine:
         self._conns: list = []
         self._segments: list = []
 
-        # The plan's own tables (the serial engine's when it batches).
-        tables = H.batched_tables
+        # The plan's own tables, the ones the serial engine runs.
+        tables = H.batched_evaluator.tables
         self.rank_rows = tables.rank_rows
         # Interior tree levels stay in the master: they are strictly
         # level-ordered and tiny next to the near/far panels.
@@ -425,26 +422,26 @@ class ProcessEngine:
         # Retained for access_trace(): these tables *are* the engine's
         # accesses — workers run exactly these entries, every call.
         self._shards = _deal(tables, max(self.num_workers, 1))
+        scratch_rows = {"W": self.n, "Y": self.n,
+                        "T": self.rank_rows, "S": self.rank_rows}
         if self.num_workers == 0:
-            # Inline mode: same shard, no pool, plain scratch arrays.
-            self._W = np.empty((self.n, self.q_cap))
-            self._Y = np.empty((self.n, self.q_cap))
-            self._T = np.empty((max(self.rank_rows, 1), self.q_cap))
-            self._S = np.empty((max(self.rank_rows, 1), self.q_cap))
+            # Inline mode: same shard, no pool, plain scratch buffers that
+            # a chunk views exactly as it views a shared segment.
+            self._scratch_bufs = {key: np.empty(max(rows, 1) * self.q_cap)
+                                  for key, rows in scratch_rows.items()}
             self._buf = np.empty(tables.max_k * self.q_cap)
             self._finalizer = None
             return
 
         # Per-call scratch, mapped by every worker.
         shm_names: dict[str, str] = {}
-        scratch_rows = {"W": self.n, "Y": self.n,
-                        "T": self.rank_rows, "S": self.rank_rows}
         for key, rows in scratch_rows.items():
             seg = shared_memory.SharedMemory(
                 create=True, size=max(rows, 1) * self.q_cap * 8)
             self._segments.append(seg)
             shm_names[key] = seg.name
-        self._seg_by_key = dict(zip(shm_names, self._segments, strict=True))
+        self._scratch_bufs = {key: seg.buf for key, seg
+                              in zip(shm_names, self._segments, strict=True)}
 
         ctx = mp.get_context(start_method or default_start_method())
         try:
@@ -469,10 +466,11 @@ class ProcessEngine:
 
     # ------------------------------------------------------------- protocol
     def _scratch(self, key: str, rows: int, q: int) -> np.ndarray:
-        if self.num_workers == 0:
-            return getattr(self, f"_{key}")[:max(rows, 1), :q]
-        seg = self._seg_by_key[key]
-        return np.ndarray((max(rows, 1), q), dtype=np.float64, buffer=seg.buf)
+        """A C-contiguous ``rows × q`` view of scratch ``key``: the layout
+        a worker and the serial engine run on, since a GEMM's rounding
+        can depend on its operands' strides."""
+        return np.ndarray((max(rows, 1), q), dtype=np.float64,
+                          buffer=self._scratch_bufs[key])
 
     def _barrier(self, phase: int, q: int) -> None:
         if self.num_workers == 0:

@@ -55,10 +55,15 @@ class ShapeBucket:
         return len(self.keys)
 
     def gather(self, buf: np.ndarray) -> np.ndarray:
-        """Stack the bucket's generators as one ``(batch, rows, cols)`` array."""
+        """Stack the bucket's generators as one ``(batch, rows, cols)``
+        array; a lone generator's stack is its view of ``buf``."""
         rows, cols = self.shape
-        idx = self.offsets[:, None] + np.arange(rows * cols)
-        return buf[idx].reshape(self.batch, rows, cols)
+        size = rows * cols
+        if self.batch == 1:
+            o = int(self.offsets[0])
+            return buf[o:o + size].reshape(1, rows, cols)
+        return np.concatenate([buf[o:o + size] for o in self.offsets.tolist()]
+                              ).reshape(self.batch, rows, cols)
 
 
 @dataclass
@@ -113,11 +118,15 @@ class CDSMatrix:
 
     # ---------------------------------------------------------- shape buckets
     def basis_nodes(self) -> list[int]:
-        """All non-root nodes carrying a basis generator, post-ordered."""
-        return [
-            v for v in self.tree.postorder()
-            if v != 0 and self.factors.srank(v) > 0
-        ]
+        """All non-root nodes carrying a basis generator, post-ordered.
+
+        A node's children split its point range left to right, so post
+        order sorts the nodes by where their ranges end, and a node after
+        the descendants that end where it does (its right spine).
+        """
+        t = self.tree
+        nodes = np.flatnonzero(self.factors.sranks[1:] > 0) + 1
+        return nodes[np.lexsort((-t.level[nodes], t.stop[nodes]))].tolist()
 
     def basis_level_buckets(self) -> list[list[ShapeBucket]]:
         """Basis (V/E) buckets per tree level, deepest level first.

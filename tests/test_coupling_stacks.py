@@ -2,10 +2,12 @@
 
 The batched engine's coupling loop groups its row panels (one per output
 node) by shape ``(m, k)`` and runs each group as one stacked
-``np.matmul``: ``S[rows] += np.matmul(P, T[idx]).reshape(-1, Q)``. NumPy
-runs a stack as one BLAS GEMM per member, the same call as the member's
-2-D GEMM, and S is still zero there, so the products keep their bits. The
-process engine deals out members of the same stacks.
+``np.matmul``: ``S[rows] = np.matmul(P, T[idx]).reshape(-1, Q)``, or,
+for a stack whose members each gather one run of T, member by member on
+row slices at wide Q and for a lone member. NumPy runs a stack as one
+BLAS GEMM per member, the same call as the member's 2-D GEMM, so the
+products keep their bits. The process engine deals out members of the
+same stacks.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ import pytest
 
 from repro import ProcessEngine, inspector, relative_error
 from repro.codegen.emit import (
+    WIDE_Q_MIN,
     _batched_far_tables,
+    _coupling_stack,
     _rank_offsets,
     _row_panel_tables,
     _stacked_panels,
@@ -27,10 +31,9 @@ from repro.kernels.base import get_kernel
 
 def _plan(n, seed, bandwidth, bacc):
     points = load_dataset("random", n=n, seed=seed)
-    H = inspector(points, kernel=get_kernel("gaussian", bandwidth=bandwidth),
-                  structure="h2-geometric", leaf_size=32, bacc=bacc)
-    assert H.evaluator.decision.batch
-    return H
+    return inspector(points,
+                     kernel=get_kernel("gaussian", bandwidth=bandwidth),
+                     structure="h2-geometric", leaf_size=32, bacc=bacc)
 
 
 @pytest.fixture(scope="module", params=["fixture", "mixed_sranks"])
@@ -52,17 +55,18 @@ def stacks(H):
 def _skeleton_ranges(H):
     toff, rank_rows = _rank_offsets(H.cds)
     srank = H.cds.factors.srank
-    return {v: (o, o + srank(v)) for v, o in toff.items()}, rank_rows
+    return {v: (int(toff[v]), int(toff[v]) + srank(v))
+            for v in H.cds.basis_nodes()}, rank_rows
 
 
 class TestLayout:
     def test_stacks_of_one_and_of_many(self, stacks):
-        sizes = [P.shape[0] for P, _idx, _rows in stacks]
+        sizes = [P.shape[0] for P, *_rest in stacks]
         assert min(sizes) == 1 < max(sizes)
 
     def test_members_share_their_shape(self, stacks):
         shapes = set()
-        for P, idx, rows in stacks:
+        for P, idx, rows, _members in stacks:
             g, m, k = P.shape
             assert idx.shape == (g, k)
             assert rows.shape == (g * m,)
@@ -71,12 +75,12 @@ class TestLayout:
 
     def test_output_rows_are_disjoint_node_ranges(self, H, stacks):
         ranges, _rank_rows = _skeleton_ranges(H)
-        written = np.concatenate([rows for _P, _idx, rows in stacks])
+        written = np.concatenate([rows for _P, _idx, rows, _m in stacks])
         assert np.unique(written).size == written.size
         outputs = {i for (i, _j) in H.cds.far_visit_order()}
         want = np.concatenate([np.arange(*ranges[i]) for i in outputs])
         np.testing.assert_array_equal(np.sort(written), np.sort(want))
-        for P, _idx, rows in stacks:
+        for P, _idx, rows, _members in stacks:
             m = P.shape[1]
             for member in rows.reshape(-1, m):
                 a, b = int(member[0]), int(member[-1]) + 1
@@ -94,7 +98,7 @@ class TestLayout:
             (a, b), (c, d) = ranges[i], ranges[j]
             want[a:b, c:d] += cds.far(i, j)
         got = np.zeros_like(want)
-        for P, idx, rows in stacks:
+        for P, idx, rows, _members in stacks:
             g, m, _k = P.shape
             for panel, cols, out in zip(P, idx, rows.reshape(g, m),
                                         strict=True):
@@ -127,16 +131,26 @@ class _RecordingStack(np.ndarray):
 class TestOneMatmulPerStack:
     @pytest.mark.parametrize("q", [1, 4, 512])
     def test_batched_issues_one_matmul_per_stack(self, H, stacks, q):
+        """One np.matmul per stack, or one per member for a stack run by
+        member slices (at wide Q, or a lone member)."""
         ev = generate_batched_evaluator(H.cds)
         W = np.random.default_rng(q).random((H.dim, q))
         want = ev(W)
-        ev.tables.far = tuple((P.view(_RecordingStack), idx, rows)
-                              for P, idx, rows in ev.tables.far)
+        ev.tables.far = tuple(_coupling_stack(P.view(_RecordingStack), idx,
+                                              rows)
+                              for P, idx, rows, _members in ev.tables.far)
         _RecordingStack.calls = []
         assert ev(W).tobytes() == want.tobytes()
         passes = -(-q // ev.q_chunk)
-        assert _RecordingStack.calls == [
-            P.shape for P, _idx, _rows in stacks] * passes
+        wide = min(q, ev.q_chunk) >= WIDE_Q_MIN
+        calls = []
+        for P, _idx, _rows, members in stacks:
+            if members and (wide or len(P) == 1):
+                calls += [P.shape[1:]] * len(P)
+            else:
+                calls.append(P.shape)
+        assert any(len(c) == 3 for c in calls)
+        assert _RecordingStack.calls == calls * passes
 
 
 @pytest.fixture(scope="module")

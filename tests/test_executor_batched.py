@@ -1,18 +1,14 @@
 """Executor coverage: serial vs thread-pool vs batched agreement, streaming
-chunks, the batch cost-model gate, and Executor lifecycle semantics."""
+chunks, the batched program on every plan, its stacked and member-slice
+paths, and Executor lifecycle semantics."""
 
 import numpy as np
 import pytest
 
 from repro import Executor, matmul, matmul_many, relative_error
-from repro.codegen import (
-    batch_occupancy,
-    build_ir,
-    decide_lowering,
-    generate_batched_evaluator,
-    lower_batched,
-)
-from repro.codegen.emit import WIDE_Q_MIN, down_pass
+from repro.codegen import generate_batched_evaluator
+from repro.codegen import emit
+from repro.codegen.emit import WIDE_Q_MIN, BatchedTables, down_pass
 from repro.core.evaluation import evaluate_reference
 from repro.runtime.tasks import matrox_batched_phases, matrox_phases
 
@@ -92,67 +88,61 @@ class TestMatmulMany:
 
 
 class TestBatchGate:
-    def test_hss_gate_rejects_and_falls_back(self, points_2d, gaussian_kernel):
+    """The plan-wide batch gate is gone: ``order="batched"`` runs the
+    batched tables on every plan, the HSS plans it used to reject
+    included, and the plan's lowering decision shapes only the per-block
+    program."""
+
+    def test_hss_runs_batched_tables(self, points_2d, gaussian_kernel,
+                                     monkeypatch):
         from repro import inspector
         H = inspector(points_2d, kernel=gaussian_kernel, structure="hss",
                       leaf_size=32, bacc=1e-6, seed=0)
-        assert not H.evaluator.decision.batch
-        assert H.batched_evaluator is None
+        runs = []
+        for name in ("run_batched", "run_blocks"):
+            real = getattr(emit, name)
+            monkeypatch.setattr(emit, name, lambda *a, real=real, name=name:
+                                runs.append(name) or real(*a))
         W = np.random.default_rng(7).random((H.dim, 3))
-        # order="batched" must still work — identical per-block fallback.
-        np.testing.assert_array_equal(
-            H.matmul(W, order="batched"), H.matmul(W, order="original"))
+        y = H.matmul(W, order="batched")
+        assert runs == ["run_batched"]
+        assert relative_error(y, H.matmul(W, order="original")) < 1e-12
+        assert runs == ["run_batched", "run_blocks"]
 
-    def test_h2_gate_accepts(self, hmatrix_2d):
-        assert hmatrix_2d.evaluator.decision.batch
-        assert hmatrix_2d.batched_evaluator is not None
-        assert hmatrix_2d.batched_evaluator is hmatrix_2d.batched_evaluator
-
-    def test_occupancy_and_lowering_annotation(self, hmatrix_2d):
-        cds = hmatrix_2d.cds
-        ir = build_ir(cds.factors, coarsenset=cds.coarsenset,
-                      near_blockset=cds.near_blockset,
-                      far_blockset=cds.far_blockset)
-        assert batch_occupancy(ir) > 2.0
-        d = decide_lowering(ir)
-        assert d.batch
-        d2 = lower_batched(ir, d)
-        assert d2.batch
-        for loop in ("near", "upward", "coupling", "downward"):
-            assert ir.loop(loop).lowered_to == "batched"
+    def test_batched_evaluator_is_built_once(self, hmatrix_2d):
+        ev = hmatrix_2d.batched_evaluator
+        assert ev is hmatrix_2d.batched_evaluator
+        assert isinstance(ev.tables, BatchedTables)
 
     def test_batched_evaluator_records_plan_decision(self, points_2d,
                                                      gaussian_kernel):
         """The batched evaluator carries the plan's own lowering decision
-        (non-default thresholds included), with batching recorded on top,
-        instead of re-deciding with default thresholds."""
+        (non-default thresholds included) instead of re-deciding with
+        default thresholds."""
         from repro import inspector
         H = inspector(points_2d, kernel=gaussian_kernel,
                       structure="h2-geometric", leaf_size=16,
                       block_threshold=10**9, coarsen_threshold=100)
         plan = H.evaluator.decision
-        assert plan.batch
         assert (plan.block_near, plan.coarsen, plan.peel_root) == (
             False, False, False)
         got = H.batched_evaluator.decision
         for name in ("block_near", "block_far", "coarsen", "peel_root",
                      "block_threshold", "far_block_threshold",
-                     "coarsen_threshold", "batch_threshold"):
+                     "coarsen_threshold", "reasons"):
             assert getattr(got, name) == getattr(plan, name), name
-        assert got.batch
-        assert got.reasons[:len(plan.reasons)] == plan.reasons
 
     def test_summary_reports_batch(self, hmatrix_2d):
         assert hmatrix_2d.summary()["lowering"]["batch"] is True
 
-    def test_save_load_preserves_batch_gate(self, hmatrix_2d, tmp_path):
+    def test_save_load_preserves_decision(self, hmatrix_2d, tmp_path):
         from repro import load_hmatrix, save_hmatrix
         save_hmatrix(hmatrix_2d, tmp_path / "h.npz")
         H2 = load_hmatrix(tmp_path / "h.npz")
-        assert H2.evaluator.decision.batch == hmatrix_2d.evaluator.decision.batch
+        assert H2.evaluator.decision == hmatrix_2d.evaluator.decision
         W = np.random.default_rng(8).random((H2.dim, 4))
-        assert relative_error(H2.matmul(W, order="batched"),
-                              hmatrix_2d.matmul(W, order="batched")) < 1e-12
+        assert (H2.matmul(W, order="batched").tobytes()
+                == hmatrix_2d.matmul(W, order="batched").tobytes())
 
 
 class TestShapeBuckets:
@@ -164,6 +154,12 @@ class TestShapeBuckets:
                 assert stack.shape == (bucket.batch, *bucket.shape)
                 for b, v in enumerate(bucket.keys):
                     np.testing.assert_array_equal(stack[b], cds.basis(v))
+
+    def test_basis_nodes_are_post_ordered(self, hmatrix_2d, hmatrix_hss):
+        for H in (hmatrix_2d, hmatrix_hss):
+            assert H.cds.basis_nodes() == [
+                v for v in H.tree.postorder()
+                if v != 0 and H.factors.srank(v) > 0]
 
     def test_level_buckets_partition_basis_nodes(self, hmatrix_2d):
         cds = hmatrix_2d.cds
@@ -206,21 +202,33 @@ class TestBatchedPhases:
         assert bat.time_s < seq.time_s
 
 
+@pytest.fixture(scope="module")
+def hmatrix_hss(points_2d, gaussian_kernel):
+    """An HSS plan: sibling-only coupling, so its stacks have slices."""
+    from repro import inspector
+    return inspector(points_2d, kernel=gaussian_kernel, structure="hss",
+                     leaf_size=32, bacc=1e-6, seed=0)
+
+
 class TestDownPass:
     @pytest.mark.parametrize("q", [WIDE_Q_MIN - 1, WIDE_Q_MIN, 512])
     def test_leaf_adds_match_one_scatter_per_bucket(self, hmatrix_2d, q):
-        """At wide Q each leaf-bucket member adds its product into its Y
-        rows by slice; the bytes equal one fancy-indexed ``Y[flat] += P``
-        per bucket, the scatter narrower products keep."""
-        tables = hmatrix_2d.batched_tables
+        """At wide Q each leaf-bucket and interior-bucket member adds its
+        product into its rows by slice; the bytes equal one fancy-indexed
+        ``dst[flat] += P`` per bucket, the scatter narrower products of
+        larger buckets keep."""
+        tables = hmatrix_2d.batched_evaluator.tables
         assert any(to_y and len(G) > 1 for level in tables.levels
                    for G, *_rest, to_y in level)
+        assert any(not to_y and len(G) > 1 and members
+                   for level in tables.levels
+                   for G, *_rest, members, to_y in level)
         rng = np.random.default_rng(q)
         S = rng.standard_normal((tables.rank_rows, q))
         Y = rng.standard_normal((hmatrix_2d.dim, q))
         S_ref, Y_ref = S.copy(), Y.copy()
         for level in reversed(tables.levels):
-            for G, _GT, _gather, flat, _own, own2d, to_y in level:
+            for G, _GT, _gather, flat, _own, own2d, _members, to_y in level:
                 P = np.matmul(G, S_ref[own2d]).reshape(-1, q)
                 if to_y:
                     Y_ref[flat] += P
@@ -229,6 +237,69 @@ class TestDownPass:
         down_pass(tables.levels, S, Y)
         assert Y.tobytes() == Y_ref.tobytes()
         assert S.tobytes() == S_ref.tobytes()
+
+
+class TestMemberSlices:
+    """A tree bucket or coupling stack whose members each read and write
+    one run of rows runs member by member on row slices at wide Q (and
+    when it has one member); the bytes equal its stacked GEMM's."""
+
+    @pytest.fixture(params=["h2", "hss"])
+    def H(self, request, hmatrix_2d, hmatrix_hss):
+        return hmatrix_2d if request.param == "h2" else hmatrix_hss
+
+    def test_interior_members_read_one_run(self, H):
+        """T/S rows go level by level, left to right, so two siblings'
+        skeleton rows are adjacent, and every tree-bucket member's gather
+        is the one run its member slice reads."""
+        t, srank = H.tree, H.factors.srank
+        toff, _rank_rows = emit._rank_offsets(H.cds)
+        for v in H.cds.basis_nodes():
+            if not t.is_leaf(v):
+                lc, rc = int(t.lchild[v]), int(t.rchild[v])
+                assert toff[rc] == toff[lc] + srank(lc)
+        for level in H.batched_evaluator.tables.levels:
+            for _G, _GT, gather, *_rest, members, _from_w in level:
+                np.testing.assert_array_equal(np.diff(gather, axis=1), 1)
+                assert [(a, b) for _Gk, a, b, _o, _p in members] == [
+                    (row[0], row[-1] + 1) for row in gather.tolist()]
+
+    @pytest.mark.parametrize("q", [WIDE_Q_MIN - 1, WIDE_Q_MIN, 512])
+    def test_up_pass_matches_stacked_gemms(self, H, q):
+        tables = H.batched_evaluator.tables
+        W = np.random.default_rng(q).standard_normal((H.dim, q))
+        T = np.zeros((tables.rank_rows, q))
+        T_ref = T.copy()
+        for level in tables.levels:
+            for _G, GT, gather, _flat, own, _own2d, _members, from_w in level:
+                src = W if from_w else T_ref
+                T_ref[own] = np.matmul(GT, src[gather]).reshape(-1, q)
+        emit.up_pass(tables.levels, W, T)
+        assert T.tobytes() == T_ref.tobytes()
+
+    @pytest.mark.parametrize("q", [WIDE_Q_MIN - 1, WIDE_Q_MIN, 512])
+    def test_far_pass_matches_stacked_gemms(self, H, q):
+        tables = H.batched_evaluator.tables
+        assert any(members for *_stack, members in tables.far)
+        T = np.random.default_rng(q).standard_normal((tables.rank_rows, q))
+        S = np.zeros_like(T)
+        S_ref = S.copy()
+        for P, idx, rows, _members in tables.far:
+            S_ref[rows] = np.matmul(P, T[idx]).reshape(-1, q)
+        emit.far_pass(tables.far, T, S)
+        assert S.tobytes() == S_ref.tobytes()
+
+    def test_lone_members_are_cds_views(self, hmatrix_hss):
+        """A group of one member binds its generator's view of the CDS
+        buffer instead of a copy: HSS's near panels (diagonal blocks),
+        lone tree buckets and lone coupling panels."""
+        cds, tables = hmatrix_hss.cds, hmatrix_hss.batched_evaluator.tables
+        assert all(np.shares_memory(e[0], cds.near_buf) for e in tables.near)
+        lone = [G for level in tables.levels for G, *_rest in level
+                if len(G) == 1]
+        assert lone and all(np.shares_memory(G, cds.basis_buf) for G in lone)
+        lone = [P for P, *_rest in tables.far if len(P) == 1]
+        assert lone and all(np.shares_memory(P, cds.far_buf) for P in lone)
 
 
 class TestExecutorLifecycle:

@@ -174,6 +174,28 @@ class TestStoredPayloadGolden:
             err = np.abs(H.matmul(W, order=order) - Y).max()
             assert err <= 1e-12 * np.abs(Y).max(), order
 
+    def test_stored_batch_keys_are_ignored(self, tmp_path):
+        """The fixture's decision carries the retired batch gate's keys
+        (``batch: false``, the gate's verdict on HSS). Loading ignores
+        them: ``order="batched"`` runs the batched tables, within 1e-12
+        of the stored product, and a plan saved now no longer writes
+        them."""
+        def stored_decision(path):
+            with np.load(path) as data:
+                return json.loads(bytes(data["manifest"]).decode())["decision"]
+
+        assert stored_decision(PLANS / "hss256_v1.npz")["batch"] is False
+        H = load_hmatrix(PLANS / "hss256_v1.npz")
+        with np.load(PLANS / "hss256_v1_product.npz") as ref:
+            W, Y = ref["W"], ref["Y"]
+        perm = H.tree.perm
+        Yb = np.empty_like(W)
+        Yb[perm] = H.batched_evaluator(W[perm])
+        assert Yb.tobytes() == H.matmul(W, order="batched").tobytes()
+        assert np.abs(Yb - Y).max() <= 1e-12 * np.abs(Y).max()
+        resaved = stored_decision(save_hmatrix(H, tmp_path / "h.npz"))
+        assert not {"batch", "batch_threshold"} & set(resaved)
+
 
 class TestInspectionP1Roundtrip:
     def test_roundtrip_reusable_for_p2(self, p1_2d, inspector_small,

@@ -36,10 +36,8 @@ def points():
 
 @pytest.fixture(scope="module")
 def H(points):
-    H = inspector(points, kernel="gaussian", structure="h2-geometric",
-                  leaf_size=32)
-    assert H.evaluator.decision.batch  # buckets exist; batched path active
-    return H
+    return inspector(points, kernel="gaussian", structure="h2-geometric",
+                     leaf_size=32)
 
 
 @pytest.fixture(scope="module")
@@ -91,18 +89,17 @@ class TestEquivalence:
         with pytest.raises(ValueError, match="rows"):
             engine.matmul(W[:-1])
 
-    def test_batch_rejected_structure_matches_to_tolerance(self, points):
-        # HSS declines batch lowering: serial order="batched" falls back
-        # to per-block code, while the engine always runs the batched
-        # tables — agreement is <1e-12 here, bitwise only when the cost
-        # model accepted batching.
+    def test_hss_plan_bytes_equal_serial_batched(self, points):
+        # Serial order="batched" runs the batched tables on every plan,
+        # HSS included, so the engine's product is its byte for byte (and
+        # within rounding of the per-block code).
         H = inspector(points, kernel="gaussian", structure="hss",
                       leaf_size=32)
-        assert not H.evaluator.decision.batch
         W = np.random.default_rng(9).random((H.dim, 6))
         ref = H.matmul(W, order="original")
         with ProcessEngine(H, num_workers=2) as eng:
             y = eng.matmul(W)
+        assert y.tobytes() == H.matmul(W, order="batched").tobytes()
         assert np.linalg.norm(y - ref) / np.linalg.norm(ref) < 1e-12
 
     def test_order_original_wins_over_process_backend(self, H, W):
@@ -236,19 +233,18 @@ class TestSharedTables:
         panels = [e[0] for shard in shards for e in shard.near]
         assert sorted(map(id, panels)) == sorted(
             id(e[0]) for e in tables.near)
-        dealt = sum(len(P) for shard in shards for P, _i, _r in shard.far)
-        assert dealt == sum(len(P) for P, _i, _r in tables.far)
+        dealt = sum(len(P) for shard in shards for P, *_rest in shard.far)
+        assert dealt == sum(len(P) for P, *_rest in tables.far)
 
     def test_rejected_plan_builds_its_tables_once(self, points,
                                                   monkeypatch):
-        """A plan whose batching was rejected still owns one set of
-        tables: two convenience calls (an engine each) build them once,
-        and order="batched" keeps the per-block fallback."""
+        """An HSS plan, which the retired batch gate rejected, owns one
+        ``BatchedTables``, shared by both engines: two convenience calls
+        (an engine each) and serial order="batched" build it once."""
         from repro.codegen import emit
 
         H = inspector(points, kernel="gaussian", structure="hss",
                       leaf_size=32)
-        assert not H.evaluator.decision.batch
         builds = []
         real = emit.build_batched_tables
         monkeypatch.setattr(emit, "build_batched_tables",
@@ -257,17 +253,18 @@ class TestSharedTables:
         pol = ExecutionPolicy(backend="process", num_workers=0)
         first = H.matmul(W, policy=pol)
         assert H.matmul(W, policy=pol).tobytes() == first.tobytes()
+        assert H.matmul(W, order="batched").tobytes() == first.tobytes()
         assert len(builds) == 1
-        assert H.batched_evaluator is None
+        tables = H.batched_evaluator.tables
         with ProcessEngine(H, num_workers=0) as eng:
-            assert eng._shards[0].near[0][0] is H.batched_tables.near[0][0]
+            assert eng._shards[0].near[0][0] is tables.near[0][0]
         assert len(builds) == 1
 
     def test_shard_pickle_rebinds_views(self, H):
         """Spawn pickles a worker's entries: every narrow-path slice must
         come back as a view of its unpickled panel (one copy, no extra
-        per-call work) and every transposed stack as a view of its
-        stack, in the layout the serial engine's GEMMs use."""
+        per-call work), and every transposed stack and member slice as a
+        view of its stack, in the layout the serial engine's GEMMs use."""
         with ProcessEngine(H, num_workers=2) as eng:
             shard = eng._shards[0]
         back = pickle.loads(pickle.dumps(shard))
@@ -287,6 +284,11 @@ class TestSharedTables:
                 assert np.shares_memory(GT, G)
                 assert GT.strides == bucket0[1].strides
                 np.testing.assert_array_equal(GT, bucket0[1])
+                assert all(np.shares_memory(m[0], G) for m in bucket[6])
+        for (P, *_rest, members), stack0 in zip(back.far, shard.far,
+                                                strict=True):
+            assert len(members) == len(stack0[3])
+            assert all(np.shares_memory(m[0], P) for m in members)
 
 
 class TestTeardown:

@@ -186,16 +186,18 @@ class TestEngineProperties:
     @pytest.mark.parametrize("kind", ["uniform", "coincident", "below_leaf",
                                       "d1", "clustered", "wide", "collinear",
                                       "float32", "offset", "tiny"])
-    @given(seed=st.integers(0, 50), q=st.integers(1, 8))
+    @given(seed=st.integers(0, 50), q=st.integers(1, 8),
+           structure=st.sampled_from(["h2-geometric", "hss", "h2-b"]))
     @settings(SLOW, max_examples=6)
-    def test_engines_agree_on_degenerate_inputs(self, kind, seed, q):
-        """Batched (stacked coupling loop included) and the process
-        engine return the same bytes, and the per-block code agrees to
-        rounding, whatever the point set looks like."""
+    def test_engines_agree_on_degenerate_inputs(self, kind, seed, q,
+                                                structure):
+        """Batched (stacked coupling loop and member slices included) and
+        the process engine return the same bytes, and the per-block code
+        agrees to rounding, whatever the point set and the structure."""
         pts = (rand_points(seed, 200, 2) if kind == "uniform"
                else degenerate_points(kind, seed))
         H = inspector(pts, kernel=GaussianKernel(0.5),
-                      structure="h2-geometric", leaf_size=16, bacc=1e-6)
+                      structure=structure, leaf_size=16, bacc=1e-6)
         batched = generate_batched_evaluator(H.cds)
         W = np.random.default_rng(seed + 1).standard_normal((len(pts), q))
         Y = batched(W)
