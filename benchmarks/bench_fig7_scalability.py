@@ -132,6 +132,7 @@ def test_fig7_backend_sweep(benchmark):
     insp = Inspector(structure="h2-geometric", tau=0.65, bacc=PAPER_BACC,
                      leaf_size=SWEEP_LEAF, p=max(SWEEP_WORKERS), seed=0)
     H = insp.run(points, get_kernel("gaussian", bandwidth=5.0))
+    assert H.evaluator.decision.batch, "sweep needs the batched engine"
     W = np.random.default_rng(0).random((n, SWEEP_Q))
 
     def run():

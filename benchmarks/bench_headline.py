@@ -64,6 +64,7 @@ def test_headline_batched_executor_wallclock(benchmark):
     insp = Inspector(structure="h2-geometric", tau=0.65, bacc=PAPER_BACC,
                      leaf_size=WALLCLOCK_LEAF, p=PAPER_P, seed=0)
     H = insp.run(points, get_kernel("gaussian", bandwidth=GAUSS_BW))
+    assert H.evaluator.decision.batch, "cost model must accept batch lowering"
     W = np.random.default_rng(0).random((n, WALLCLOCK_Q))
     workers = min(4, os.cpu_count() or 1)
 

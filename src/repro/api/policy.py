@@ -10,9 +10,10 @@ or a solver down to :meth:`HMatrix.matmul`.
 
 There is exactly one documented default, :data:`DEFAULT_POLICY`:
 
-* ``order="batched"`` — the bucketed batched-GEMM engine, on every plan;
-  it agrees with the old ``"original"`` default (the per-block code) to
-  rounding;
+* ``order="batched"`` — the bucketed batched-GEMM engine, which falls back
+  bit-compatibly to the per-block code whenever the cost model rejected
+  batch lowering, so it is a strict superset of the old ``"original"``
+  default;
 * ``num_threads=None`` — serial (no thread pool);
 * ``q_chunk=None`` — the generated evaluator's own streaming panel width
   (:data:`DEFAULT_Q_CHUNK` columns), the cache-sized chunking the codegen
@@ -82,11 +83,13 @@ class ExecutionPolicy:
     ----------
     order:
         ``"batched"`` (default) evaluates through the bucketed batched-GEMM
-        engine; ``"original"`` runs the per-block code; both treat W rows
-        as being in the user's input point order. ``"auto"`` resolves
-        through the profile-guided autotuner (:mod:`repro.tuning`) at
-        evaluation time: a :class:`~repro.tuning.TuningProfile` keyed by
-        HMatrix fingerprint x RHS-width bucket x host signature picks the
+        engine, falling back to the per-block code when the cost model
+        rejected batch lowering; ``"original"`` forces the per-block
+        code; both treat W rows as being in the user's input point
+        order. ``"auto"`` resolves through the profile-guided autotuner
+        (:mod:`repro.tuning`) at evaluation time: a
+        :class:`~repro.tuning.TuningProfile` keyed by HMatrix
+        fingerprint x RHS-width bucket x host signature picks the
         concrete order/backend/thread/worker/q_chunk setting. Knobs set
         explicitly alongside ``order="auto"`` are *pinned*: the tuner
         only chooses among candidates that honor them.
@@ -97,8 +100,9 @@ class ExecutionPolicy:
         across a pool of worker processes, with W/Y/T/S shared via
         ``multiprocessing.shared_memory`` (see
         :mod:`repro.core.parallel` and DESIGN.md section 7); results are
-        bit-identical to the serial batched engine. The backend applies
-        to the batched order; ``order="original"`` names the
+        bit-identical to the serial batched engine (< 1e-12 on matrices
+        where the cost model rejected batch lowering). The backend
+        applies to the batched order; ``order="original"`` names the
         per-block code explicitly and always runs in-process.
     num_threads:
         Worker threads for the per-block code path. ``None`` or 1 runs

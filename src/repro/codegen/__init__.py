@@ -10,7 +10,12 @@ plain loop functions (``repro.codegen.emit``).
 """
 
 from repro.codegen.ir import EvaluationIR, build_ir
-from repro.codegen.lowering import LoweringDecision, decide_lowering
+from repro.codegen.lowering import (
+    LoweringDecision,
+    batch_occupancy,
+    decide_lowering,
+    lower_batched,
+)
 from repro.codegen.emit import (
     GeneratedEvaluator,
     generate_batched_evaluator,
@@ -22,6 +27,8 @@ __all__ = [
     "build_ir",
     "LoweringDecision",
     "decide_lowering",
+    "lower_batched",
+    "batch_occupancy",
     "GeneratedEvaluator",
     "generate_evaluator",
     "generate_batched_evaluator",

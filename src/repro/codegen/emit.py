@@ -17,10 +17,9 @@ releases the GIL inside GEMMs, so block/sub-tree tasks genuinely overlap).
 
 ``generate_batched_evaluator`` builds one :class:`BatchedTables`, run by
 :func:`near_pass`, :func:`up_pass`, :func:`far_pass` and
-:func:`down_pass`: the program ``order="batched"`` runs on every plan,
-and the same functions a process worker runs over its share of the
-entries. Which form a pass takes for a group (one stacked GEMM, or one
-GEMM per member on row slices) is read from the tables and the width.
+:func:`down_pass`, the same functions a process worker runs over its share
+of the entries. Which form a pass takes for a group (one stacked GEMM, or
+one GEMM per member on row slices) is read from the tables and the width.
 
 Both programs compute ``Y += K~ @ W`` in tree order.
 """
@@ -35,7 +34,11 @@ import numpy as np
 from repro.analysis.structure_sets import CoarsenSet
 from repro.api.policy import DEFAULT_Q_CHUNK
 from repro.codegen.ir import EvaluationIR
-from repro.codegen.lowering import LoweringDecision, decide_lowering
+from repro.codegen.lowering import (
+    LoweringDecision,
+    decide_lowering,
+    lower_batched,
+)
 from repro.storage.cds import CDSMatrix
 
 # Opcodes for tree-loop operations (kept as plain ints for dispatch speed).
@@ -313,9 +316,16 @@ def build_block_tables(cds: CDSMatrix,
 #: super-row panel; narrower ones run one GEMM per leaf-row slice of it.
 #: Below this width a whole-panel GEMM is big enough for BLAS to go
 #: multi-threaded without being big enough to gain from it (DESIGN.md
-#: section 3 has the measurement). From this width on, the tree and
-#: coupling groups run by member slices (see ``up_pass``).
+#: section 3 has the measurement).
 WIDE_Q_MIN = 32
+
+#: A tree bucket or coupling stack with member slices (:func:`_member_slices`)
+#: runs them, one plain GEMM per member, when each member's product takes
+#: at least this many multiply-adds (generator rows x cols x Q), and always
+#: when it has one member. Smaller members run as one stacked GEMM: its
+#: gathered copy and fancy-indexed scatter then cost less than a Python
+#: call per member (DESIGN.md section 3 has the measurement).
+MEMBER_MIN_MACS = 4096
 
 # A row panel may hold at most this many times the entries of the blocks
 # it carries. Within the bound, a panel whose gather runs nearly tile
@@ -781,23 +791,23 @@ def near_pass(panels, W, Y, buf) -> None:
                 Y[a:b] += rows @ opnd
 
 
-# The tree passes and the coupling pass run a group with member slices
-# (:func:`_member_slices`) one plain GEMM per member on row slices when
-# the product is at least ``WIDE_Q_MIN`` columns wide, or when the group
-# has one member: the gathered copies and fancy-indexed scatters of a
-# stacked GEMM then cost more than the Python calls they save. Narrower
-# products of larger groups run one stacked GEMM. Every member gets the
-# same BLAS call either way, so the bytes do not depend on the path.
+def _by_members(stack, members, q: int) -> bool:
+    """Whether a group (generator or panel ``stack``, with ``members``)
+    runs by member slices at width ``q`` (:data:`MEMBER_MIN_MACS`). Every
+    member gets the same BLAS call either way, so the bytes do not depend
+    on the path."""
+    g, m, k = stack.shape
+    return bool(members) and (g == 1 or m * k * q >= MEMBER_MIN_MACS)
+
 
 def up_pass(levels, W, T) -> None:
     """Upward pass: levels bottom-up; every bucket writes disjoint
     skeleton rows of T, by one stacked GEMM or by member slices."""
     q = W.shape[1]
-    wide = q >= WIDE_Q_MIN
     for level in levels:
         for G, GT, gather, _flat, own, _own2d, members, from_w in level:
             src = W if from_w else T
-            if members and (wide or len(G) == 1):
+            if _by_members(G, members, q):
                 for Gk, a, b, o, p in members:
                     np.matmul(Gk.T, src[a:b], out=T[o:p])
             else:
@@ -810,9 +820,8 @@ def far_pass(stacks, T, S) -> None:
     storing instead of adding into zeros changes only a zero's sign,
     which never reaches Y (Y starts at +0.0 and is only added to)."""
     q = T.shape[1]
-    wide = q >= WIDE_Q_MIN
     for P, idx, rows, members in stacks:
-        if members and (wide or len(P) == 1):
+        if _by_members(P, members, q):
             for Pk, a, b, o, p in members:
                 np.matmul(Pk, T[a:b], out=S[o:p])
         else:
@@ -825,11 +834,10 @@ def down_pass(levels, S, Y) -> None:
     one stacked GEMM and a fancy-indexed scatter or by member slices.
     Both add the same values to the same rows."""
     q = S.shape[1]
-    wide = q >= WIDE_Q_MIN
     for level in reversed(levels):
         for G, _GT, _gather, flat, _own, own2d, members, to_y in level:
             dst = Y if to_y else S
-            if members and (wide or len(G) == 1):
+            if _by_members(G, members, q):
                 for Gk, a, b, o, p in members:
                     dst[a:b] += Gk @ S[o:p]
             else:
@@ -876,6 +884,7 @@ def build_batched_tables(cds: CDSMatrix) -> BatchedTables:
 
 def generate_batched_evaluator(
     cds: CDSMatrix,
+    ir: EvaluationIR | None = None,
     decision: LoweringDecision | None = None,
     q_chunk: int | None = DEFAULT_Q_CHUNK,
 ) -> GeneratedEvaluator:
@@ -883,18 +892,27 @@ def generate_batched_evaluator(
 
     The returned evaluator computes what :func:`generate_evaluator`
     computes, to rounding, but runs :func:`run_batched` over the plan's
-    :class:`BatchedTables`, built here. ``decision`` is the plan's
-    lowering decision (``H.evaluator.decision``), carried as it is;
-    without one, the plan is decided with default thresholds.
+    :class:`BatchedTables`. ``decision`` is the plan's lowering decision
+    (``H.evaluator.decision``), recorded with the batch lowering on top;
+    without one, the IR is built and decided with default thresholds.
     ``q_chunk`` bounds the panel width of one pass (``None`` disables
     streaming and runs any Q in a single pass); its default is the width
     the process engine sizes its scratch by, so both engines split a
     wide product into the same passes.
     """
+    from repro.codegen.ir import build_ir
+
     if decision is None:
-        decision = generate_evaluator(cds).decision
+        if ir is None:
+            ir = build_ir(
+                cds.factors,
+                coarsenset=cds.coarsenset,
+                near_blockset=cds.near_blockset,
+                far_blockset=cds.far_blockset,
+            )
+        decision = decide_lowering(ir)
     tables = build_batched_tables(cds)
     return GeneratedEvaluator(
-        decision=decision, cds=cds,
+        decision=lower_batched(ir, decision), cds=cds,
         program=Program(lambda: tables), q_chunk=q_chunk,
     )

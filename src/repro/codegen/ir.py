@@ -27,7 +27,8 @@ class LoopNest:
     name: str                       # "near" | "upward" | "coupling" | "downward"
     kind: str                       # "reduction" | "tree"
     iterations: list = field(default_factory=list)
-    # "serial" | "blocked" | "coarsened": the per-block program's form.
+    # "serial" | "blocked" | "coarsened" | "batched" — "batched" replaces
+    # the per-iteration GEMMs with one stacked GEMM per CDS shape bucket.
     lowered_to: str = "serial"
 
     @property

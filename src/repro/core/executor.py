@@ -9,9 +9,9 @@ All execution knobs travel as one :class:`~repro.api.policy.ExecutionPolicy`
 (order, num_threads, q_chunk). There is a single documented default,
 :data:`~repro.api.policy.DEFAULT_POLICY` (``order="batched"``): the bucketed
 batched-GEMM engine (one stacked GEMM per CDS shape bucket; see DESIGN.md
-section 3), on every plan; ``order="original"`` runs the thread-pool
-per-block code. :func:`matmul_many` streams wide or many-panel
-right-hand sides through cache-sized column chunks.
+section 3), falling back to the thread-pool per-block code when the cost
+model rejected batch lowering. :func:`matmul_many` streams wide or
+many-panel right-hand sides through cache-sized column chunks.
 
 ``order="auto"`` resolves through the profile-guided autotuner
 (:mod:`repro.tuning`, DESIGN.md section 9) before any evaluator runs: an
@@ -263,8 +263,9 @@ def matmul(H: HMatrix, W: np.ndarray, num_threads: int | None = None,
     .. versionchanged:: 1.1
        The default ``order`` is now the shared policy default
        (``"batched"``); it was previously ``"original"`` here while
-       :func:`matmul_many` already defaulted to ``"batched"``. The two
-       programs agree to rounding, so results only move at that level.
+       :func:`matmul_many` already defaulted to ``"batched"``. The batched
+       engine falls back to the per-block code when the cost model rejected
+       batch lowering, so results only move at rounding level.
     """
     pol = resolve_policy(policy, order=order, num_threads=num_threads,
                          q_chunk=q_chunk)

@@ -67,10 +67,11 @@ class HMatrix:
     @property
     def batched_evaluator(self) -> GeneratedEvaluator:
         """The batched program: its :class:`~repro.codegen.emit.BatchedTables`,
-        built on first use and kept, run by ``order="batched"`` and dealt
-        out by the process engine. The inspector already paid for the
-        structure analysis and the lowering decision, so this is just
-        table gathering."""
+        built on first use and kept, dealt out by the process engine and
+        run by ``order="batched"`` when the cost model accepted batch
+        lowering (``evaluator.decision.batch``). The inspector already
+        paid for the structure analysis and the lowering decision, so this
+        is just table gathering."""
         if self._batched is None:
             from repro.codegen.emit import generate_batched_evaluator
             self._batched = generate_batched_evaluator(
@@ -85,15 +86,15 @@ class HMatrix:
         Knobs resolve through one :class:`~repro.api.policy.ExecutionPolicy`
         (explicit ``order``/``q_chunk`` win over ``policy``, which wins over
         :data:`~repro.api.policy.DEFAULT_POLICY`). ``order="batched"`` (the
-        shared default) executes through the bucketed batched-GEMM engine
-        (``pool`` is not used there); ``order="original"`` runs the
-        per-block code, over ``pool`` when one is given. W rows are in the
-        user's input point order either way, and must be finite
-        (``ValueError`` otherwise). ``q_chunk`` overrides the selected
-        evaluator's streaming panel width (the single chunking layer —
-        callers never chunk on top of it). When no ``pool`` is given and
-        the policy asks for threads, a short-lived pool is created for
-        this call.
+        shared default) executes through the bucketed batched-GEMM engine,
+        falling back to the per-block code (with ``pool``) when the cost
+        model rejected batch lowering; ``order="original"`` forces the
+        per-block code. W rows are in the user's input point order either
+        way, and must be finite (``ValueError`` otherwise). ``q_chunk``
+        overrides the selected evaluator's streaming panel width (the
+        single chunking layer — callers never chunk on top of it). When no
+        ``pool`` is given and the policy asks for threads, a short-lived
+        pool is created for this call.
         """
         pol = resolve_policy(policy, order=order, q_chunk=q_chunk)
         W = np.ascontiguousarray(W, dtype=np.float64)
@@ -131,7 +132,12 @@ class HMatrix:
         if order not in ("original", "batched"):
             raise ValueError(
                 f"order must be 'original' or 'batched', got {order!r}")
-        ev = self.batched_evaluator if order == "batched" else self.evaluator
+        # Degradation: batched -> per-block code. Both give the same
+        # results, so a rejected batch lowering is a performance event
+        # (recorded in the lowering decision), never an error.
+        ev = self.evaluator
+        if order == "batched" and ev.decision.batch:
+            ev = self.batched_evaluator
         if q_chunk is not None and ev.q_chunk != q_chunk:
             ev = replace(ev, q_chunk=q_chunk)
         perm = self.tree.perm
@@ -175,8 +181,6 @@ class HMatrix:
                 "block_far": self.evaluator.decision.block_far,
                 "coarsen": self.evaluator.decision.coarsen,
                 "peel_root": self.evaluator.decision.peel_root,
-                # Every plan runs the batched program; the key stays for
-                # readers of the summary.
-                "batch": True,
+                "batch": self.evaluator.decision.batch,
             },
         }

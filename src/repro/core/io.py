@@ -174,12 +174,12 @@ def _decision_manifest(d: LoweringDecision) -> dict:
         "far_block_threshold": d.far_block_threshold,
         "coarsen_threshold": d.coarsen_threshold,
         "reasons": list(d.reasons),
+        "batch": d.batch,
+        "batch_threshold": d.batch_threshold,
     }
 
 
 def _decision_from_manifest(m) -> LoweringDecision:
-    # Plans stored before every plan ran the batched program also carry
-    # "batch" and "batch_threshold"; nothing reads them.
     return LoweringDecision(
         block_near=bool(m["block_near"]), block_far=bool(m["block_far"]),
         coarsen=bool(m["coarsen"]), peel_root=bool(m["peel_root"]),
@@ -187,6 +187,8 @@ def _decision_from_manifest(m) -> LoweringDecision:
         far_block_threshold=int(m["far_block_threshold"]),
         coarsen_threshold=int(m["coarsen_threshold"]),
         reasons=tuple(m.get("reasons", ())),
+        batch=bool(m.get("batch", False)),
+        batch_threshold=float(m.get("batch_threshold", 2.0)),
     )
 
 

@@ -6,7 +6,7 @@ module deals the entries of those same tables across a persistent pool
 of **worker processes**:
 
 * the tables are the HMatrix's own (``H.batched_evaluator.tables``,
-  built once per plan);
+  built once per plan, whether or not the cost model accepted batching);
 * whole entries are dealt to workers with a deterministic LPT
   (longest-processing-time) packing over their sizes: a near super-row
   panel, a coupling-stack member (one output node) or a leaf-bucket
@@ -17,8 +17,11 @@ of **worker processes**:
   runs as three barrier phases (see :class:`ProcessEngine`). Every output
   row slice has exactly one writer, in the serial engine's GEMM
   granularity, so the "reduction" of per-shard partial products is a
-  disjoint scatter and the result is **bit-identical** to serial
-  ``order="batched"`` — not merely within rounding.
+  disjoint scatter and the result is **bit-identical** to the serial
+  batched *lowering* — not merely within rounding. (On matrices where
+  the cost model rejected batching, serial ``order="batched"`` falls
+  back to the per-block code, and the process backend agrees with that
+  fallback only to rounding, < 1e-12 relative.)
 
 The pool is built once per (HMatrix, worker count) and reused across
 calls/chunks — the process analogue of the inspector-executor contract's
@@ -377,7 +380,9 @@ class ProcessEngine:
 
     Each Y/T/S row slice is written by exactly one worker with the same
     GEMMs the serial batched engine issues, so results are
-    bit-identical to ``order="batched"`` on one process.
+    bit-identical to ``order="batched"`` on one process whenever the cost
+    model accepted batch lowering (when it rejected it, the serial path
+    falls back to per-block code and agreement is < 1e-12, not bitwise).
 
     ``num_workers=0`` keeps the exact sharded code path but runs every
     shard inline (no pool, no shared memory) — the degenerate case tests
@@ -411,7 +416,7 @@ class ProcessEngine:
         self._conns: list = []
         self._segments: list = []
 
-        # The plan's own tables, the ones the serial engine runs.
+        # The plan's own tables (the serial engine's when it batches).
         tables = H.batched_evaluator.tables
         self.rank_rows = tables.rank_rows
         # Interior tree levels stay in the master: they are strictly

@@ -101,7 +101,7 @@ def hmatrix_fingerprint(H) -> str:
         f"near={H.factors.htree.num_near()}",
         f"far={H.factors.htree.num_far()}",
         f"decision={decision.block_near:d}{decision.block_far:d}"
-        f"{decision.coarsen:d}{decision.peel_root:d}",
+        f"{decision.coarsen:d}{decision.peel_root:d}{decision.batch:d}",
         f"sranks={zlib.crc32(np.ascontiguousarray(H.sranks).tobytes()):08x}",
     ]
     for name in ("basis_buf", "near_buf", "far_buf"):

@@ -245,22 +245,10 @@ class TestBlockTablesOnFirstUse:
             block_table_builds):
         H = inspector_small.run(points_2d, gaussian_kernel)
         H2 = load_hmatrix(save_hmatrix(H, tmp_path / "hmat.npz"))
+        assert H2.evaluator.decision.batch
         rng = np.random.default_rng(0)
         for q in (1, 4, emit.WIDE_Q_MIN, 300):
             H2.matmul(rng.random((H2.dim, q)))
-        assert block_table_builds == []
-
-    def test_hss_batched_products_build_none(self, points_2d,
-                                             gaussian_kernel,
-                                             block_table_builds):
-        """HSS plans run the batched program too, so their batched
-        products never build the per-block tables either."""
-        from repro import inspector
-        H = inspector(points_2d, kernel=gaussian_kernel, structure="hss",
-                      leaf_size=32)
-        rng = np.random.default_rng(0)
-        for q in (1, 4, emit.WIDE_Q_MIN, 300):
-            H.matmul(rng.random((H.dim, q)))
         assert block_table_builds == []
 
     def test_original_order_builds_once_per_plan(self, hmatrix_2d, tmp_path,

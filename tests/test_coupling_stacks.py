@@ -4,10 +4,10 @@ The batched engine's coupling loop groups its row panels (one per output
 node) by shape ``(m, k)`` and runs each group as one stacked
 ``np.matmul``: ``S[rows] = np.matmul(P, T[idx]).reshape(-1, Q)``, or,
 for a stack whose members each gather one run of T, member by member on
-row slices at wide Q and for a lone member. NumPy runs a stack as one
-BLAS GEMM per member, the same call as the member's 2-D GEMM, so the
-products keep their bits. The process engine deals out members of the
-same stacks.
+row slices when its members' products are big enough and for a lone
+member. NumPy runs a stack as one BLAS GEMM per member, the same call as
+the member's 2-D GEMM, so the products keep their bits. The process
+engine deals out members of the same stacks.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ import pytest
 
 from repro import ProcessEngine, inspector, relative_error
 from repro.codegen.emit import (
-    WIDE_Q_MIN,
     _batched_far_tables,
+    _by_members,
     _coupling_stack,
     _rank_offsets,
     _row_panel_tables,
@@ -31,9 +31,10 @@ from repro.kernels.base import get_kernel
 
 def _plan(n, seed, bandwidth, bacc):
     points = load_dataset("random", n=n, seed=seed)
-    return inspector(points,
-                     kernel=get_kernel("gaussian", bandwidth=bandwidth),
-                     structure="h2-geometric", leaf_size=32, bacc=bacc)
+    H = inspector(points, kernel=get_kernel("gaussian", bandwidth=bandwidth),
+                  structure="h2-geometric", leaf_size=32, bacc=bacc)
+    assert H.evaluator.decision.batch
+    return H
 
 
 @pytest.fixture(scope="module", params=["fixture", "mixed_sranks"])
@@ -132,7 +133,7 @@ class TestOneMatmulPerStack:
     @pytest.mark.parametrize("q", [1, 4, 512])
     def test_batched_issues_one_matmul_per_stack(self, H, stacks, q):
         """One np.matmul per stack, or one per member for a stack run by
-        member slices (at wide Q, or a lone member)."""
+        member slices (big enough members, or a lone member)."""
         ev = generate_batched_evaluator(H.cds)
         W = np.random.default_rng(q).random((H.dim, q))
         want = ev(W)
@@ -142,10 +143,9 @@ class TestOneMatmulPerStack:
         _RecordingStack.calls = []
         assert ev(W).tobytes() == want.tobytes()
         passes = -(-q // ev.q_chunk)
-        wide = min(q, ev.q_chunk) >= WIDE_Q_MIN
         calls = []
         for P, _idx, _rows, members in stacks:
-            if members and (wide or len(P) == 1):
+            if _by_members(P, members, min(q, ev.q_chunk)):
                 calls += [P.shape[1:]] * len(P)
             else:
                 calls.append(P.shape)

@@ -1,14 +1,25 @@
 """Executor coverage: serial vs thread-pool vs batched agreement, streaming
-chunks, the batched program on every plan, its stacked and member-slice
-paths, and Executor lifecycle semantics."""
+chunks, the batch cost-model gate, the batched program's stacked and
+member-slice paths, and Executor lifecycle semantics."""
 
 import numpy as np
 import pytest
 
 from repro import Executor, matmul, matmul_many, relative_error
-from repro.codegen import generate_batched_evaluator
-from repro.codegen import emit
-from repro.codegen.emit import WIDE_Q_MIN, BatchedTables, down_pass
+from repro.codegen import (
+    batch_occupancy,
+    build_ir,
+    decide_lowering,
+    emit,
+    generate_batched_evaluator,
+    lower_batched,
+)
+from repro.codegen.emit import (
+    MEMBER_MIN_MACS,
+    BatchedTables,
+    _by_members,
+    down_pass,
+)
 from repro.core.evaluation import evaluate_reference
 from repro.runtime.tasks import matrox_batched_phases, matrox_phases
 
@@ -88,58 +99,76 @@ class TestMatmulMany:
 
 
 class TestBatchGate:
-    """The plan-wide batch gate is gone: ``order="batched"`` runs the
-    batched tables on every plan, the HSS plans it used to reject
-    included, and the plan's lowering decision shapes only the per-block
-    program."""
-
-    def test_hss_runs_batched_tables(self, points_2d, gaussian_kernel,
-                                     monkeypatch):
+    def test_hss_gate_rejects_and_falls_back(self, points_2d, gaussian_kernel,
+                                             monkeypatch):
+        """HSS declines batch lowering: order="batched" runs the per-block
+        code, while the plan still owns its batched tables (the process
+        engine runs them)."""
         from repro import inspector
         H = inspector(points_2d, kernel=gaussian_kernel, structure="hss",
                       leaf_size=32, bacc=1e-6, seed=0)
+        assert not H.evaluator.decision.batch
+        assert H.summary()["lowering"]["batch"] is False
+        assert isinstance(H.batched_evaluator.tables, BatchedTables)
         runs = []
         for name in ("run_batched", "run_blocks"):
             real = getattr(emit, name)
             monkeypatch.setattr(emit, name, lambda *a, real=real, name=name:
                                 runs.append(name) or real(*a))
         W = np.random.default_rng(7).random((H.dim, 3))
-        y = H.matmul(W, order="batched")
-        assert runs == ["run_batched"]
-        assert relative_error(y, H.matmul(W, order="original")) < 1e-12
-        assert runs == ["run_batched", "run_blocks"]
+        # order="batched" must still work — identical per-block fallback.
+        np.testing.assert_array_equal(
+            H.matmul(W, order="batched"), H.matmul(W, order="original"))
+        assert runs == ["run_blocks", "run_blocks"]
 
-    def test_batched_evaluator_is_built_once(self, hmatrix_2d):
+    def test_h2_gate_accepts(self, hmatrix_2d):
+        assert hmatrix_2d.evaluator.decision.batch
         ev = hmatrix_2d.batched_evaluator
         assert ev is hmatrix_2d.batched_evaluator
         assert isinstance(ev.tables, BatchedTables)
 
+    def test_occupancy_and_lowering_annotation(self, hmatrix_2d):
+        cds = hmatrix_2d.cds
+        ir = build_ir(cds.factors, coarsenset=cds.coarsenset,
+                      near_blockset=cds.near_blockset,
+                      far_blockset=cds.far_blockset)
+        assert batch_occupancy(ir) > 2.0
+        d = decide_lowering(ir)
+        assert d.batch
+        d2 = lower_batched(ir, d)
+        assert d2.batch
+        for loop in ("near", "upward", "coupling", "downward"):
+            assert ir.loop(loop).lowered_to == "batched"
+
     def test_batched_evaluator_records_plan_decision(self, points_2d,
                                                      gaussian_kernel):
         """The batched evaluator carries the plan's own lowering decision
-        (non-default thresholds included) instead of re-deciding with
-        default thresholds."""
+        (non-default thresholds included), with batching recorded on top,
+        instead of re-deciding with default thresholds."""
         from repro import inspector
         H = inspector(points_2d, kernel=gaussian_kernel,
                       structure="h2-geometric", leaf_size=16,
                       block_threshold=10**9, coarsen_threshold=100)
         plan = H.evaluator.decision
+        assert plan.batch
         assert (plan.block_near, plan.coarsen, plan.peel_root) == (
             False, False, False)
         got = H.batched_evaluator.decision
         for name in ("block_near", "block_far", "coarsen", "peel_root",
                      "block_threshold", "far_block_threshold",
-                     "coarsen_threshold", "reasons"):
+                     "coarsen_threshold", "batch_threshold"):
             assert getattr(got, name) == getattr(plan, name), name
+        assert got.batch
+        assert got.reasons[:len(plan.reasons)] == plan.reasons
 
     def test_summary_reports_batch(self, hmatrix_2d):
         assert hmatrix_2d.summary()["lowering"]["batch"] is True
 
-    def test_save_load_preserves_decision(self, hmatrix_2d, tmp_path):
+    def test_save_load_preserves_batch_gate(self, hmatrix_2d, tmp_path):
         from repro import load_hmatrix, save_hmatrix
         save_hmatrix(hmatrix_2d, tmp_path / "h.npz")
         H2 = load_hmatrix(tmp_path / "h.npz")
-        assert H2.evaluator.decision == hmatrix_2d.evaluator.decision
+        assert H2.evaluator.decision.batch == hmatrix_2d.evaluator.decision.batch
         W = np.random.default_rng(8).random((H2.dim, 4))
         assert (H2.matmul(W, order="batched").tobytes()
                 == hmatrix_2d.matmul(W, order="batched").tobytes())
@@ -210,13 +239,18 @@ def hmatrix_hss(points_2d, gaussian_kernel):
                      leaf_size=32, bacc=1e-6, seed=0)
 
 
+#: Widths on both sides of every group's switch between one stacked GEMM
+#: and member slices in the fixtures' plans.
+SELECTION_QS = [1, 4, 31, 32, 128, 512]
+
+
 class TestDownPass:
-    @pytest.mark.parametrize("q", [WIDE_Q_MIN - 1, WIDE_Q_MIN, 512])
+    @pytest.mark.parametrize("q", SELECTION_QS)
     def test_leaf_adds_match_one_scatter_per_bucket(self, hmatrix_2d, q):
-        """At wide Q each leaf-bucket and interior-bucket member adds its
-        product into its rows by slice; the bytes equal one fancy-indexed
-        ``dst[flat] += P`` per bucket, the scatter narrower products of
-        larger buckets keep."""
+        """A leaf-bucket or interior-bucket member whose product is big
+        enough adds it into its rows by slice; the bytes equal one
+        fancy-indexed ``dst[flat] += P`` per bucket, the scatter smaller
+        members of larger buckets keep."""
         tables = hmatrix_2d.batched_evaluator.tables
         assert any(to_y and len(G) > 1 for level in tables.levels
                    for G, *_rest, to_y in level)
@@ -241,12 +275,32 @@ class TestDownPass:
 
 class TestMemberSlices:
     """A tree bucket or coupling stack whose members each read and write
-    one run of rows runs member by member on row slices at wide Q (and
-    when it has one member); the bytes equal its stacked GEMM's."""
+    one run of rows runs member by member on row slices when each
+    member's product takes at least ``MEMBER_MIN_MACS`` multiply-adds,
+    and when it has one member; the bytes equal its stacked GEMM's."""
 
     @pytest.fixture(params=["h2", "hss"])
     def H(self, request, hmatrix_2d, hmatrix_hss):
         return hmatrix_2d if request.param == "h2" else hmatrix_hss
+
+    def test_selection_takes_both_paths(self, H):
+        """Over ``SELECTION_QS`` the tree and coupling groups of more than
+        one member run both ways, and the switch follows the members'
+        multiply-adds per product."""
+        tables = H.batched_evaluator.tables
+        groups = [(b[0], b[6]) for level in tables.levels for b in level]
+        groups += [(P, members) for P, *_rest, members in tables.far]
+        seen = set()
+        for q in SELECTION_QS:
+            for G, members in groups:
+                if not members:
+                    continue
+                g, m, k = G.shape
+                by_members = _by_members(G, members, q)
+                assert by_members == (g == 1 or m * k * q >= MEMBER_MIN_MACS)
+                if g > 1:
+                    seen.add(by_members)
+        assert seen == {True, False}
 
     def test_interior_members_read_one_run(self, H):
         """T/S rows go level by level, left to right, so two siblings'
@@ -264,7 +318,7 @@ class TestMemberSlices:
                 assert [(a, b) for _Gk, a, b, _o, _p in members] == [
                     (row[0], row[-1] + 1) for row in gather.tolist()]
 
-    @pytest.mark.parametrize("q", [WIDE_Q_MIN - 1, WIDE_Q_MIN, 512])
+    @pytest.mark.parametrize("q", SELECTION_QS)
     def test_up_pass_matches_stacked_gemms(self, H, q):
         tables = H.batched_evaluator.tables
         W = np.random.default_rng(q).standard_normal((H.dim, q))
@@ -277,7 +331,7 @@ class TestMemberSlices:
         emit.up_pass(tables.levels, W, T)
         assert T.tobytes() == T_ref.tobytes()
 
-    @pytest.mark.parametrize("q", [WIDE_Q_MIN - 1, WIDE_Q_MIN, 512])
+    @pytest.mark.parametrize("q", SELECTION_QS)
     def test_far_pass_matches_stacked_gemms(self, H, q):
         tables = H.batched_evaluator.tables
         assert any(members for *_stack, members in tables.far)

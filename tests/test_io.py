@@ -174,27 +174,30 @@ class TestStoredPayloadGolden:
             err = np.abs(H.matmul(W, order=order) - Y).max()
             assert err <= 1e-12 * np.abs(Y).max(), order
 
-    def test_stored_batch_keys_are_ignored(self, tmp_path):
-        """The fixture's decision carries the retired batch gate's keys
-        (``batch: false``, the gate's verdict on HSS). Loading ignores
-        them: ``order="batched"`` runs the batched tables, within 1e-12
-        of the stored product, and a plan saved now no longer writes
-        them."""
+    def test_stored_batch_gate_holds(self, tmp_path):
+        """The fixture's decision records the batch gate's verdict on HSS
+        (``batch: false``): a loaded plan keeps it, so ``order="batched"``
+        runs the per-block code, its batched tables (the process engine's)
+        still lie within 1e-12 of the stored product, and saving the plan
+        again writes the verdict back."""
         def stored_decision(path):
             with np.load(path) as data:
                 return json.loads(bytes(data["manifest"]).decode())["decision"]
 
         assert stored_decision(PLANS / "hss256_v1.npz")["batch"] is False
         H = load_hmatrix(PLANS / "hss256_v1.npz")
+        assert not H.evaluator.decision.batch
         with np.load(PLANS / "hss256_v1_product.npz") as ref:
             W, Y = ref["W"], ref["Y"]
+        assert (H.matmul(W, order="batched").tobytes()
+                == H.matmul(W, order="original").tobytes())
         perm = H.tree.perm
         Yb = np.empty_like(W)
         Yb[perm] = H.batched_evaluator(W[perm])
-        assert Yb.tobytes() == H.matmul(W, order="batched").tobytes()
         assert np.abs(Yb - Y).max() <= 1e-12 * np.abs(Y).max()
         resaved = stored_decision(save_hmatrix(H, tmp_path / "h.npz"))
-        assert not {"batch", "batch_threshold"} & set(resaved)
+        assert resaved["batch"] is False
+        assert resaved["batch_threshold"] == 2.0
 
 
 class TestInspectionP1Roundtrip:

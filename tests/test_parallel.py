@@ -36,8 +36,10 @@ def points():
 
 @pytest.fixture(scope="module")
 def H(points):
-    return inspector(points, kernel="gaussian", structure="h2-geometric",
-                     leaf_size=32)
+    H = inspector(points, kernel="gaussian", structure="h2-geometric",
+                  leaf_size=32)
+    assert H.evaluator.decision.batch  # buckets exist; batched path active
+    return H
 
 
 @pytest.fixture(scope="module")
@@ -89,18 +91,22 @@ class TestEquivalence:
         with pytest.raises(ValueError, match="rows"):
             engine.matmul(W[:-1])
 
-    def test_hss_plan_bytes_equal_serial_batched(self, points):
-        # Serial order="batched" runs the batched tables on every plan,
-        # HSS included, so the engine's product is its byte for byte (and
-        # within rounding of the per-block code).
+    def test_batch_rejected_structure_matches_to_tolerance(self, points):
+        # HSS declines batch lowering: serial order="batched" falls back
+        # to per-block code, while the engine always runs the batched
+        # tables — agreement is <1e-12 here, bitwise with the plan's
+        # batched evaluator.
         H = inspector(points, kernel="gaussian", structure="hss",
                       leaf_size=32)
+        assert not H.evaluator.decision.batch
         W = np.random.default_rng(9).random((H.dim, 6))
         ref = H.matmul(W, order="original")
         with ProcessEngine(H, num_workers=2) as eng:
             y = eng.matmul(W)
-        assert y.tobytes() == H.matmul(W, order="batched").tobytes()
         assert np.linalg.norm(y - ref) / np.linalg.norm(ref) < 1e-12
+        tables = np.empty_like(W)
+        tables[H.tree.perm] = H.batched_evaluator(W[H.tree.perm])
+        assert y.tobytes() == tables.tobytes()
 
     def test_order_original_wins_over_process_backend(self, H, W):
         # order="original" names the per-block code explicitly; it runs
@@ -238,13 +244,14 @@ class TestSharedTables:
 
     def test_rejected_plan_builds_its_tables_once(self, points,
                                                   monkeypatch):
-        """An HSS plan, which the retired batch gate rejected, owns one
-        ``BatchedTables``, shared by both engines: two convenience calls
-        (an engine each) and serial order="batched" build it once."""
+        """A plan whose batching was rejected still owns one set of
+        tables: two convenience calls (an engine each) build them once,
+        and order="batched" keeps the per-block fallback."""
         from repro.codegen import emit
 
         H = inspector(points, kernel="gaussian", structure="hss",
                       leaf_size=32)
+        assert not H.evaluator.decision.batch
         builds = []
         real = emit.build_batched_tables
         monkeypatch.setattr(emit, "build_batched_tables",
@@ -253,8 +260,9 @@ class TestSharedTables:
         pol = ExecutionPolicy(backend="process", num_workers=0)
         first = H.matmul(W, policy=pol)
         assert H.matmul(W, policy=pol).tobytes() == first.tobytes()
-        assert H.matmul(W, order="batched").tobytes() == first.tobytes()
         assert len(builds) == 1
+        assert (H.matmul(W, order="batched").tobytes()
+                == H.matmul(W, order="original").tobytes())
         tables = H.batched_evaluator.tables
         with ProcessEngine(H, num_workers=0) as eng:
             assert eng._shards[0].near[0][0] is tables.near[0][0]

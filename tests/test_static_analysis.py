@@ -53,8 +53,10 @@ def _reset_analysis_state():
 @pytest.fixture(scope="module")
 def H():
     points = np.random.default_rng(7).random((600, 2))
-    return inspector(points, kernel="gaussian", structure="h2-geometric",
-                     leaf_size=32)
+    H = inspector(points, kernel="gaussian", structure="h2-geometric",
+                  leaf_size=32)
+    assert H.evaluator.decision.batch
+    return H
 
 
 @pytest.fixture(scope="module")

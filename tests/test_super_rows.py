@@ -30,8 +30,10 @@ from repro.kernels.base import get_kernel
 def H():
     """1500 2-d points, leaf 32: 64 leaves in a few dozen super-rows."""
     points = load_dataset("random", n=1500, seed=3)
-    return inspector(points, kernel=get_kernel("gaussian", bandwidth=5.0),
-                     structure="h2-geometric", leaf_size=32)
+    H = inspector(points, kernel=get_kernel("gaussian", bandwidth=5.0),
+                  structure="h2-geometric", leaf_size=32)
+    assert H.evaluator.decision.batch
+    return H
 
 
 @pytest.fixture(scope="module")

@@ -384,33 +384,6 @@ class TestProfilePersistence:
         assert replay.stats.tunes == 0
         assert replay.stats.store_hits == 1
 
-    def test_profile_under_an_earlier_fingerprint_retunes_once(
-            self, H, tmp_path, monkeypatch):
-        """Dropping the retired batch gate's digit from the fingerprint
-        moves every plan's key: a profile stored under the earlier
-        fingerprint is a miss that re-tunes once (never served, never
-        raised), and the re-persisted profile replays."""
-        from repro.tuning import autotune
-
-        auto = ExecutionPolicy(order="auto")
-        fp = hmatrix_fingerprint(H)
-        with monkeypatch.context() as m:
-            m.setattr(autotune, "hmatrix_fingerprint", lambda _H: "0" * 16)
-            old = make_tuner(store=PlanStore(tmp_path)).profile_for(H, 8,
-                                                                    auto)
-        assert old.key != TuningProfile.make_key(fp, 8, host_signature(),
-                                                 {})
-
-        fresh = make_tuner(store=PlanStore(tmp_path))
-        pol = fresh.resolve(H, 8, auto)
-        assert fresh.stats.tunes == 1
-        assert fresh.stats.store_hits == 0
-
-        replay = make_tuner(store=PlanStore(tmp_path))
-        assert replay.resolve(H, 8, auto) == pol
-        assert replay.stats.tunes == 0
-        assert replay.stats.store_hits == 1
-
     def test_host_signature_change_misses_and_like_host_replays(
             self, H, tmp_path, monkeypatch):
         """Profiles key off repro.host's signature: a like host replays
